@@ -16,7 +16,6 @@ from rankmix import (
     mask,
     normal_utilities,
     sample_mixture,
-    select_t2,
     select_threshold,
     single_linkage,
     spectral_gap_check,
@@ -47,8 +46,8 @@ print(f"noise ||Y - pM||_2 = {report.noise_norm:.2f}, p*sigma_r(M) = {report.sig
 print(f"window ({report.noise_norm:.2f}, {report.sigma_r_pm - report.noise_norm:.2f}) "
       f"contains t1: {report.rank_preservation_predicted}")
 
-t2 = select_t2(estimate.m_hat)
-clusters = single_linkage(estimate.m_hat, t2)
+clusters = single_linkage(estimate.m_hat)  # no t2 given: chosen from the same tree
+t2 = clusters.threshold_used
 w = clusters.mst_edge_weights
 gaps = np.diff(w)
 g = int(np.argmax(gaps))

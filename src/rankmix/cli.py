@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .clustering import select_t2, single_linkage
+from .clustering import single_linkage
 from .estimation import ObservationMatrix, compute_svd, hsvt, select_threshold
 from .evaluation import empirical_tau, misclassification_rate
 from .experiments import EXPERIMENTS, ExperimentConfig, default_config, run_experiment
@@ -66,8 +66,7 @@ def _cmd_cluster(args) -> int:
             f"{args.infile} has missing entries; cluster expects a dense matrix "
             "(run denoise first)"
         )
-    t2 = select_t2(rows) if args.t2 is None else args.t2
-    result = single_linkage(rows, t2)
+    result = single_linkage(rows, args.t2)
     write_labels(args.out, result.labels)
     write_key_values(
         args.out + ".meta",

@@ -1,12 +1,12 @@
 """Single-linkage clustering of denoised rows.
 
 Clusters are the connected components of the graph with an edge between rows
-i and j whenever ||row_i - row_j||_2 <= t2. We compute them by building a
+i and j whenever ||row_i - row_j||_2 <= t2. We compute them by building one
 minimum spanning tree (Prim, dense, O(N^2)) and cutting every edge above t2
--- the two constructions give identical partitions, and the sorted MST edge
-weights double as the diagnostic used to pick t2 automatically: the midpoint
-of the largest consecutive gap in the sorted weights, with a guard that
-falls back to a single cluster when no gap stands out.
+-- the two constructions give identical partitions. When no t2 is given, the
+same tree's sorted edge weights choose it: the midpoint of the largest
+consecutive gap, with a guard that falls back to a single cluster when no gap
+stands out.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 # fallback returns max MST weight scaled just past 1 so every edge survives
 _FALLBACK_MARGIN = 1e-9
 # a gap must beat this ratio (upper/lower weight) to count as a cluster split
-DEFAULT_GAP_RATIO = 1.5
+_GAP_RATIO = 1.5
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,8 @@ def _mst_edges(rows: np.ndarray):
     """Prim's algorithm over the complete Euclidean graph.
 
     Distance rows are computed on demand, so memory stays O(N) on top of the
-    input. Returns (u, v, w) arrays of the N-1 tree edges in insertion order.
+    input. Returns (u, v, w) arrays of the N-1 tree edges in insertion order;
+    each u joined the tree before its v.
     """
     N = rows.shape[0]
     in_tree = np.zeros(N, dtype=bool)
@@ -68,76 +69,57 @@ def _mst_edges(rows: np.ndarray):
     return us, vs, ws
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        self.parent[self.find(a)] = self.find(b)
-
-
-def single_linkage(rows, t2: float) -> ClusteringResult:
-    """Cluster rows into components connected by edges of length <= t2.
-
-    Labels are assigned by order of first row appearance: row 0 always gets
-    label 0, and a new label opens each time a row starts an unseen
-    component.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ValueError("rows must be a nonempty 2-d matrix")
-    if not t2 >= 0:
-        raise ValueError(f"t2 must be nonnegative, got {t2}")
-    N = rows.shape[0]
-    if N == 1:
-        return ClusteringResult(1, np.zeros(1, dtype=int), float(t2), np.empty(0))
-
-    us, vs, ws = _mst_edges(rows)
-    uf = _UnionFind(N)
-    for u, v, w in zip(us, vs, ws):
-        if w <= t2:
-            uf.union(int(u), int(v))
-    labels = np.empty(N, dtype=int)
-    seen: dict[int, int] = {}
-    for i in range(N):
-        root = uf.find(i)
-        if root not in seen:
-            seen[root] = len(seen)
-        labels[i] = seen[root]
-    return ClusteringResult(len(seen), labels, float(t2), np.sort(ws))
-
-
-def select_t2(rows, gap_ratio: float = DEFAULT_GAP_RATIO) -> float:
-    """Pick t2 as the midpoint of the largest gap in sorted MST edge weights.
+def _gap_threshold(w: np.ndarray) -> float:
+    """Midpoint of the largest gap in the sorted MST weights w.
 
     A split is only trusted when the weights across the chosen gap differ by
-    at least gap_ratio; otherwise (including all-equal weights) the spacing
+    at least _GAP_RATIO; otherwise (including all-equal weights) the spacing
     looks like a single cluster and the returned threshold exceeds every MST
     edge.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] < 2:
-        raise ValueError("need at least 2 rows to choose a threshold")
-    _, _, ws = _mst_edges(rows)
-    w = np.sort(ws)
     w_max = float(w[-1])
     fallback = w_max * (1.0 + _FALLBACK_MARGIN) + _FALLBACK_MARGIN
     if w.size == 1:
         return fallback
-    gaps = np.diff(w)
-    g = int(np.argmax(gaps))
+    g = int(np.argmax(np.diff(w)))
     lo, hi = float(w[g]), float(w[g + 1])
     if hi <= 0.0:
         return fallback
     ratio = np.inf if lo == 0.0 else hi / lo
-    if ratio < gap_ratio:
+    if ratio < _GAP_RATIO:
         return fallback
     return (lo + hi) / 2.0
+
+
+def single_linkage(rows, t2: float | None = None) -> ClusteringResult:
+    """Cluster rows into components connected by edges of length <= t2.
+
+    With t2 None the threshold is chosen from the MST's weight gaps (this
+    needs at least 2 rows). Labels are assigned by order of first row
+    appearance: row 0 always gets label 0, and a new label opens each time a
+    row starts an unseen component.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] < 1:
+        raise ValueError("rows must be a nonempty 2-d matrix")
+    if not np.isfinite(rows).all():
+        raise ValueError("rows must be finite (found NaN or inf)")
+    if t2 is not None and not t2 >= 0:
+        raise ValueError(f"t2 must be nonnegative, got {t2}")
+    N = rows.shape[0]
+    if N == 1:
+        if t2 is None:
+            raise ValueError("need at least 2 rows to choose a threshold")
+        return ClusteringResult(1, np.zeros(1, dtype=int), float(t2), np.empty(0))
+
+    us, vs, ws = _mst_edges(rows)
+    w = np.sort(ws)
+    if t2 is None:
+        t2 = _gap_threshold(w)
+    # Prim order: u is already labelled when v joins, so one pass suffices
+    comp = np.zeros(N, dtype=np.intp)
+    for k, (u, v, keep) in enumerate(zip(us.tolist(), vs.tolist(), (ws <= t2).tolist())):
+        comp[v] = comp[u] if keep else k + 1
+    _, first, inverse = np.unique(comp, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[inverse]
+    return ClusteringResult(first.size, labels, float(t2), w)

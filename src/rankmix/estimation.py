@@ -99,16 +99,13 @@ class HsvtEstimate:
 
 @dataclass(frozen=True)
 class ConcentrationConstants:
-    """Unspecified absolute constants in the concentration bounds.
+    """Unspecified absolute constant in the concentration bounds.
 
-    C scales the Delta bound; c1 and c3 belong to the probability side of the
-    same statements and are carried for reporting. All default to 1 and are
-    diagnostics-only: nothing in the algorithm branches on them.
+    C scales the Delta bound. It defaults to 1 and is diagnostics-only:
+    nothing in the algorithm branches on it.
     """
 
     C: float = 1.0
-    c1: float = 1.0
-    c3: float = 1.0
 
 
 DEFAULT_CONSTANTS = ConcentrationConstants()
@@ -150,8 +147,8 @@ def hsvt(y, threshold: float, svd: SvdResult | None = None, p_hat: float | None 
     Keeps the components with sigma_j strictly above the threshold. A plain
     array input is treated as fully observed (p_hat = 1 unless given).
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
     values, mask_arr = _as_matrix(y)
     if p_hat is None:
         if mask_arr is None:

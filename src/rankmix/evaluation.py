@@ -38,13 +38,11 @@ EXHAUSTIVE_MAX_LABELS = 6
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Risk plus the separation/dispersion diagnostics of one pipeline run."""
+    """Risk plus the separation diagnostic of one pipeline run."""
 
     risk: float
     matching: tuple[tuple[int, int], ...]
     gamma: float | None = None
-    gamma_bounds: dict[str, float] | None = None
-    tau_hat: float | None = None
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,8 @@ def read_matrix(path) -> np.ndarray:
         if len(toks) != d:
             raise ValueError(f"{path}: row {i} has {len(toks)} entries, expected {d}")
         out[i] = [math.nan if tok == "NA" else float(tok) for tok in toks]
+        if np.count_nonzero(~np.isfinite(out[i])) != toks.count("NA"):
+            raise ValueError(f"{path}: row {i} has a non-finite entry; only NA marks a missing value")
     return out
 
 

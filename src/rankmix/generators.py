@@ -22,7 +22,6 @@ are independently reproducible and row order never changes row randomness.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,9 +34,6 @@ from .seeding import TAG_LABELS, TAG_MASK, TAG_SAMPLE, substream
 MNL = "mnl"
 GAUSSIAN = "gaussian"
 MALLOWS = "mallows"
-
-#: exact Mallows summations enumerate all n! rankings; keep that tractable
-MALLOWS_EXACT_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -250,11 +246,7 @@ def mask(samples, p: float, rng_seed: int) -> list:
 # ------------------------------------------------------------ exact oracles
 
 def exact_pairwise_marginal(spec: ComponentSpec, a: int, b: int) -> float:
-    """P(item a is ranked before item b), exactly.
-
-    Closed form for mnl and gaussian; exact enumeration for mallows with
-    n <= 8 (the partition function is a sum over all n! rankings).
-    """
+    """P(item a is ranked before item b), exactly, in closed form."""
     n = spec.n
     if not (0 <= a < n and 0 <= b < n) or a == b:
         raise ValueError(f"need two distinct items in [0, {n}), got {a}, {b}")
@@ -263,13 +255,8 @@ def exact_pairwise_marginal(spec: ComponentSpec, a: int, b: int) -> float:
         return float(1.0 / (1.0 + math.exp((spec.utilities[b] - spec.utilities[a]) / spec.noise)))
     if spec.family == GAUSSIAN:
         return float(ndtr((spec.utilities[a] - spec.utilities[b]) / (spec.noise * math.sqrt(2.0))))
-    total = 0.0
-    hit = 0.0
-    for pos, weight in _mallows_enumeration(spec.center, spec.noise):
-        total += weight
-        if pos[a] < pos[b]:
-            hit += weight
-    return hit / total
+    pos = spec.center.position
+    return float(_mallows_before(spec.noise, pos[a], pos[b]))
 
 
 def cluster_mean(spec: ComponentSpec) -> np.ndarray:
@@ -281,35 +268,21 @@ def cluster_mean(spec: ComponentSpec) -> np.ndarray:
     if spec.family == GAUSSIAN:
         diff = (spec.utilities[idx.first] - spec.utilities[idx.second]) / (spec.noise * math.sqrt(2.0))
         return ndtr(diff) - 0.5
-    acc = np.zeros(spec.d)
-    total = 0.0
-    for pos, weight in _mallows_enumeration(spec.center, spec.noise):
-        total += weight
-        acc += weight * (pos[idx.first] < pos[idx.second])
-    return acc / total - 0.5
+    pos = spec.center.position
+    return _mallows_before(spec.noise, pos[idx.first], pos[idx.second]) - 0.5
 
 
-def _mallows_enumeration(center: Permutation, phi: float):
-    """Iterate (position array, unnormalized weight) over all of S_n."""
-    n = center.n
-    if n > MALLOWS_EXACT_MAX_N:
-        raise ValueError(
-            f"exact mallows summation enumerates n! rankings; n={n} exceeds "
-            f"the supported limit {MALLOWS_EXACT_MAX_N}"
-        )
-    idx = _indexer(n)
-    first, second = idx.first, idx.second
-    center_agree = center.position[first] < center.position[second]
-    ranks = np.arange(n)
+def _mallows_before(phi: float, rank_a: np.ndarray, rank_b: np.ndarray) -> np.ndarray:
+    """Mallows P(a before b) from the center ranks of a and b.
 
-    def _iter():
-        for perm in itertools.permutations(range(n)):
-            pos = np.empty(n, dtype=np.int64)
-            pos[list(perm)] = ranks
-            distance = int(np.count_nonzero(center_agree != (pos[first] < pos[second])))
-            yield pos, phi**distance
-
-    return _iter()
+    Two items whose center ranks are D apart keep the center order with
+    probability (D+1)/(1-phi**(D+1)) - D/(1-phi**D); 1-phi**k is computed as
+    -expm1(k*log(phi)) to stay accurate for phi near 1.
+    """
+    delta = np.abs(rank_a - rank_b).astype(float)
+    log_phi = math.log(phi)
+    kept = (delta + 1.0) / -np.expm1((delta + 1.0) * log_phi) - delta / -np.expm1(delta * log_phi)
+    return np.where(rank_a < rank_b, kept, 1.0 - kept)
 
 
 # ------------------------------------------------------------ utility draws

@@ -2,11 +2,11 @@
 
 The stages are fixed: stack the masked embeddings, estimate the observation
 probability, take the SVD, choose the singular value threshold (from a rank
-hint when given, by spectral gap otherwise), rescale-and-threshold, choose
-the distance threshold from the MST weight gap, single-linkage, then score
-the labels against the hidden truth. Every stage failure is re-raised as a
-PipelineError tagged with the stage name, and every random choice descends
-from the one seed argument.
+hint when given, by spectral gap otherwise), rescale-and-threshold, cluster
+(one MST whose weight gap chooses the distance threshold and whose cut gives
+the single-linkage labels), then score the labels against the hidden truth.
+Every stage failure is re-raised as a PipelineError tagged with the stage
+name, and every random choice descends from the one seed argument.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusteringResult, select_t2, single_linkage
+from .clustering import ClusteringResult, single_linkage
 from .estimation import HsvtEstimate, ObservationMatrix, SvdResult, compute_svd, hsvt, select_threshold
 from .evaluation import EvaluationReport, misclassification_rate, separation_gamma
 from .generators import MixtureSpec, cluster_mean, mask, sample_mixture
@@ -73,10 +73,8 @@ def run_pipeline_samples(samples, exact_means=None, rank_hint: int | None = None
         t1 = select_threshold(svd, target_rank=rank_hint)
     with _stage("hsvt"):
         estimate = hsvt(obs, t1, svd=svd)
-    with _stage("select_t2"):
-        t2 = select_t2(estimate.m_hat)
     with _stage("cluster"):
-        clustering = single_linkage(estimate.m_hat, t2)
+        clustering = single_linkage(estimate.m_hat)
     with _stage("evaluate"):
         risk, matching = misclassification_rate(clustering.labels, truth)
         gamma = None
@@ -88,7 +86,7 @@ def run_pipeline_samples(samples, exact_means=None, rank_hint: int | None = None
         "d": obs.d,
         "p_hat": estimate.p_hat,
         "t1": t1,
-        "t2": t2,
+        "t2": clustering.threshold_used,
         "kept_rank": estimate.kept_rank,
         "k_hat": clustering.k_hat,
         "risk": risk,

@@ -18,7 +18,6 @@ TAG_MASK = 2
 TAG_DIRECTIONS = 3
 TAG_UTILITIES = 4
 TAG_SIZES = 5
-TAG_NOISE = 6
 TAG_TRIAL = 7
 
 

@@ -1,4 +1,4 @@
-"""Tests for single-linkage clustering and the t2 gap heuristic.
+"""Tests for single-linkage clustering and its automatic t2 choice.
 
 Expected labelings come from an independent epsilon-graph BFS oracle
 (tests/oracles.py); threshold examples are worked by hand from sorted MST
@@ -7,8 +7,15 @@ edge weights.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rankmix.clustering import ClusteringResult, select_t2, single_linkage
+from rankmix import cli, clustering
+from rankmix.clustering import ClusteringResult, single_linkage
+from rankmix.fileio import write_matrix
+from rankmix.generators import ComponentSpec, MixtureSpec, normal_utilities
+from rankmix.pipeline import run_pipeline
 
 from oracles import oracle_epsilon_graph_labels
 
@@ -140,48 +147,52 @@ def test_negative_t2_rejected():
 
 
 # ---------------------------------------------------------------------------
-# select_t2
+# automatic t2: single_linkage(rows) with no threshold given
 # ---------------------------------------------------------------------------
+
+def _auto_t2(rows):
+    return single_linkage(rows).threshold_used
+
 
 def test_select_t2_chain_weights_1_1_1_9():
     # collinear points: consecutive gaps 1,1,1,9 are exactly the MST weights
     rows = np.array([[0.0], [1.0], [2.0], [3.0], [12.0]])
-    assert select_t2(rows) == 5.0
+    assert _auto_t2(rows) == 5.0
 
 
 def test_select_t2_equal_weights_falls_back_to_one_cluster():
     rows = np.array([[0.0], [1.0], [2.0], [3.0]])
-    t2 = select_t2(rows)
-    assert t2 > 1.0
-    assert single_linkage(rows, t2).k_hat == 1
+    res = single_linkage(rows)
+    assert res.threshold_used > 1.0
+    assert res.k_hat == 1
 
 
 def test_select_t2_small_gap_ratio_falls_back():
     # weights 1, 1.2, 1.4: largest gap ratio 1.2/1.0 < 1.5 -> fallback
     rows = np.array([[0.0], [1.0], [2.2], [3.6]])
-    t2 = select_t2(rows)
-    assert t2 > 1.4  # exceeds every MST edge
-    assert single_linkage(rows, t2).k_hat == 1
+    res = single_linkage(rows)
+    assert res.threshold_used > 1.4  # exceeds every MST edge
+    assert res.k_hat == 1
 
 
 def test_select_t2_requires_two_rows():
     with pytest.raises(ValueError):
-        select_t2(np.zeros((1, 3)))
+        single_linkage(np.zeros((1, 3)))
 
 
 def test_select_t2_identical_rows():
     rows = np.zeros((5, 2))
-    t2 = select_t2(rows)
-    assert t2 > 0.0
-    assert single_linkage(rows, t2).k_hat == 1
+    res = single_linkage(rows)
+    assert res.threshold_used > 0.0
+    assert res.k_hat == 1
 
 
 def test_select_t2_permutation_invariant():
     rng = np.random.default_rng(8)
     rows, _ = _two_blobs(rng, 10, 3, spread=0.2, gap=8.0)
-    t2 = select_t2(rows)
+    t2 = _auto_t2(rows)
     for _ in range(5):
-        assert select_t2(rows[rng.permutation(len(rows))]) == pytest.approx(t2)
+        assert _auto_t2(rows[rng.permutation(len(rows))]) == pytest.approx(t2)
 
 
 def test_select_t2_separates_clear_two_cluster_data():
@@ -189,7 +200,8 @@ def test_select_t2_separates_clear_two_cluster_data():
     hits = 0
     for trial in range(20):
         rows, truth = _two_blobs(rng, 20, 6, spread=0.25, gap=10.0)
-        t2 = select_t2(rows)
+        res = single_linkage(rows)
+        t2 = res.threshold_used
         intra = max(
             np.linalg.norm(rows[i] - rows[j])
             for i in range(len(rows))
@@ -204,7 +216,61 @@ def test_select_t2_separates_clear_two_cluster_data():
         )
         if intra < t2 < inter:
             hits += 1
-            res = single_linkage(rows, t2)
             assert np.array_equal(res.labels, truth)
     # well-separated blobs: the heuristic should land in the window every time
     assert hits == 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        float,
+        st.tuples(st.integers(2, 25), st.integers(1, 4)),
+        elements=st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+    )
+)
+def test_auto_t2_labels_equal_epsilon_graph(rows):
+    res = single_linkage(rows)
+    assert list(res.labels) == oracle_epsilon_graph_labels(rows, res.threshold_used)
+    assert (res.k_hat == 1) == bool(res.threshold_used > res.mst_edge_weights.max())
+
+
+# ---------------------------------------------------------------------------
+# input validation and the one shared tree
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("t2", [None, 2.0])
+def test_non_finite_rows_rejected(bad, t2):
+    with pytest.raises(ValueError, match="finite"):
+        single_linkage(np.array([[0.0], [bad], [1.0]]), t2)
+
+
+def _count_mst_builds(monkeypatch):
+    calls = []
+    original = clustering._mst_edges
+
+    def counted(rows):
+        calls.append(rows.shape)
+        return original(rows)
+
+    monkeypatch.setattr(clustering, "_mst_edges", counted)
+    return calls
+
+
+def test_run_pipeline_builds_one_mst(monkeypatch):
+    calls = _count_mst_builds(monkeypatch)
+    spec = MixtureSpec(
+        [ComponentSpec.gaussian(normal_utilities(8, c), 0.3) for c in range(2)], [0.5, 0.5]
+    )
+    run_pipeline(spec, N=40, p=0.8, seed=0)
+    assert len(calls) == 1
+
+
+def test_cli_cluster_auto_builds_one_mst(monkeypatch, tmp_path):
+    rows, _ = _two_blobs(np.random.default_rng(10), 6, 3, spread=0.2, gap=8.0)
+    write_matrix(tmp_path / "m.txt", rows)
+    calls = _count_mst_builds(monkeypatch)
+    argv = ["cluster", "--in", str(tmp_path / "m.txt"), "--auto", "--out", str(tmp_path / "l.txt")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1

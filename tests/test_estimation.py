@@ -141,6 +141,13 @@ def test_hsvt_idempotent_rank():
     assert again.kept_rank == est.kept_rank
 
 
+@pytest.mark.parametrize("threshold", [np.nan, -1.0])
+def test_hsvt_rejects_nan_or_negative_threshold(threshold):
+    y, _, _ = _two_perm_matrix()
+    with pytest.raises(ValueError, match="nonnegative"):
+        hsvt(y, threshold)
+
+
 # ------------------------------------------------------------- select t1
 
 def test_select_threshold_gap_heuristic_example():

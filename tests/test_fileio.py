@@ -83,6 +83,14 @@ def test_matrix_shape_mismatch(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_matrix_rejects_non_finite_tokens(tmp_path, token):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"2 3\n0.5 NA 0.5\n0.5 {token} 0.5\n")
+    with pytest.raises(ValueError, match=r"bad\.txt: row 1"):
+        read_matrix(path)
+
+
 def test_labels_roundtrip(tmp_path):
     labels = np.array([0, 1, 1, 0, 2])
     path = tmp_path / "labels.txt"

@@ -9,6 +9,7 @@ from oracles import (
     oracle_mallows_marginal,
     oracle_mallows_pmf,
     oracle_mnl_marginal,
+    positions_of,
 )
 from rankmix.generators import (
     GAUSSIAN,
@@ -29,6 +30,7 @@ from rankmix.generators import (
     sample_embedded_batch,
     sample_mixture,
 )
+from rankmix.pipeline import run_pipeline
 from rankmix.rankings import Permutation, is_missing
 
 EULER_GAMMA = 0.5772156649015329
@@ -153,12 +155,23 @@ def test_mallows_marginal_matches_enumeration():
         assert abs(exact_pairwise_marginal(spec, a, b) - want) < 1e-12
 
 
-def test_mallows_marginal_too_large_n_errors():
-    spec = ComponentSpec.mallows(Permutation(list(range(9))), phi=0.5)
-    with pytest.raises(ValueError):
-        exact_pairwise_marginal(spec, 0, 1)
-    with pytest.raises(ValueError):
-        cluster_mean(spec)
+def test_mallows_closed_form_matches_enumeration_n7():
+    center = Permutation([3, 6, 0, 5, 1, 4, 2])
+    for phi in (0.1, 0.8, 0.99):
+        spec = ComponentSpec.mallows(center, phi=phi)
+        pmf = [(positions_of(perm), prob) for perm, prob in oracle_mallows_pmf(tuple(center.order), phi).items()]
+        mu = cluster_mean(spec)
+        for k, (a, b) in enumerate(lex_pairs(7)):
+            want = sum(prob for pos, prob in pmf if pos[a] < pos[b])
+            assert abs(exact_pairwise_marginal(spec, a, b) - want) < 1e-12
+            assert abs(exact_pairwise_marginal(spec, b, a) - (1.0 - want)) < 1e-12
+            assert abs(mu[k] - (want - 0.5)) < 1e-12
+
+
+def test_run_pipeline_mallows_mixture_n12_reports_gamma():
+    comps = [ComponentSpec.mallows(Permutation(order), phi=0.3) for order in (range(12), range(11, -1, -1))]
+    result = run_pipeline(MixtureSpec(comps, [0.5, 0.5]), N=40, p=0.9, seed=0)
+    assert result.evaluation.gamma is not None and np.isfinite(result.evaluation.gamma)
 
 
 # -------------------------------------------------------------- cluster mean
