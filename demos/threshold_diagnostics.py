@@ -40,7 +40,7 @@ estimate = hsvt(obs, t1, svd=svd)
 print(f"auto t1 = {t1:.2f} -> kept rank {estimate.kept_rank}, p_hat = {estimate.p_hat:.3f}")
 
 # compare against the window the theory wants t1 to sit in
-M = np.vstack([cluster_mean(spec.components[s.true_label]) for s in samples])
+M = np.vstack([cluster_mean(c) for c in spec.components])[samples.labels]
 report = spectral_gap_check(obs, M, t1, tau_star=0.55 * np.sqrt(n - 1), true_p=p)
 print(f"noise ||Y - pM||_2 = {report.noise_norm:.2f}, p*sigma_r(M) = {report.sigma_r_pm:.2f}")
 print(f"window ({report.noise_norm:.2f}, {report.sigma_r_pm - report.noise_norm:.2f}) "

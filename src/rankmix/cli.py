@@ -33,11 +33,9 @@ TOP_SINGULAR_VALUES = 20
 
 def _cmd_generate(args) -> int:
     spec = read_mixture_spec(args.spec)
-    samples = sample_mixture(spec, args.num, args.seed)
-    samples = mask(samples, args.p, args.seed)
-    values = np.vstack([s.observation.values for s in samples])
-    write_matrix(args.out, values)
-    write_labels(args.out + ".labels", [s.true_label for s in samples])
+    batch = mask(sample_mixture(spec, args.num, args.seed), args.p, args.seed)
+    write_matrix(args.out, batch.values)
+    write_labels(args.out + ".labels", batch.labels)
     return 0
 
 

@@ -57,9 +57,9 @@ class ObservationMatrix:
         return cls(np.where(mask, values, 0.0), mask)
 
     @classmethod
-    def from_samples(cls, samples) -> "ObservationMatrix":
-        """Stack LabeledSample observations row by row."""
-        return cls.from_dense(np.array([s.observation.values for s in samples]))
+    def from_samples(cls, batch) -> "ObservationMatrix":
+        """Build from a SampleBatch, whose values mark MISSING with NaN."""
+        return cls.from_dense(batch.values)
 
     @property
     def N(self) -> int:

@@ -34,13 +34,12 @@ from .generators import (
     GAUSSIAN,
     MNL,
     ComponentSpec,
-    LabeledSample,
+    SampleBatch,
     mask,
     normal_utilities,
     sample_embedded_batch,
 )
 from .pipeline import run_pipeline_samples
-from .rankings import EmbeddedObservation
 from .seeding import TAG_MASK, TAG_SAMPLE, TAG_SIZES, TAG_TRIAL, TAG_UTILITIES, child_seed, substream
 
 EXPERIMENTS = ("exp1", "exp2", "exp3")
@@ -182,10 +181,14 @@ def _cell(value) -> str:
 
 def _write_csv(path: Path, header, rows) -> str:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:  # rows may be a generator that fails part way
+                fh.write(",".join(_cell(v) for v in row) + "\n")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
     return str(path)
 
@@ -201,26 +204,21 @@ def _component(cfg: ExperimentConfig, n: int, noise: float, trial: int, index: i
     return ComponentSpec.mnl(u, noise)
 
 
-def _poisson_samples(cfg: ExperimentConfig, n: int, noise_idx: int, trial: int):
-    """Poisson(lambda)-sized blocks, one per component, labels by block."""
+def _poisson_samples(cfg: ExperimentConfig, n: int, noise_idx: int, trial: int) -> SampleBatch:
+    """Poisson(lambda)-sized blocks, one stream and one label per component."""
     noise = cfg.noise_list[noise_idx]
     sizes = substream(cfg.seed, TAG_SIZES, trial, n, noise_idx).poisson(cfg.lam, size=cfg.k)
     if int(sizes.sum()) < 2:
         raise ValueError(f"Poisson sizes for lambda={cfg.lam} summed to {int(sizes.sum())} rows")
-    samples: list[LabeledSample] = []
-    row = 0
-    for i in range(cfg.k):
-        m = int(sizes[i])
-        if m == 0:
-            continue
-        component = _component(cfg, n, noise, trial, i)
-        batch = sample_embedded_batch(
-            component, m, substream(cfg.seed, TAG_SAMPLE, trial, n, noise_idx, i)
+    blocks = [
+        sample_embedded_batch(
+            _component(cfg, n, noise, trial, i), int(m), substream(cfg.seed, TAG_SAMPLE, trial, n, noise_idx, i)
         )
-        for r in range(m):
-            samples.append(LabeledSample(EmbeddedObservation(batch[r], n), i, row_id=row))
-            row += 1
-    return samples
+        for i, m in enumerate(sizes)
+        if m > 0
+    ]
+    labels = np.repeat(np.arange(cfg.k), sizes)
+    return SampleBatch(np.vstack(blocks), labels, np.arange(labels.size))
 
 
 # ---------------------------------------------------------------------------
@@ -229,44 +227,36 @@ def _poisson_samples(cfg: ExperimentConfig, n: int, noise_idx: int, trial: int):
 
 def _run_exp1(cfg: ExperimentConfig, out: Path) -> list[str]:
     p = cfg.p_list[0]
-    dist_rows = []
     proj_rows = []
-    for n in cfg.n_list:
-        for noise_idx, noise in enumerate(cfg.noise_list):
-            samples = _poisson_samples(cfg, n, noise_idx, trial=0)
-            if p < 1.0:
-                samples = mask(samples, p, child_seed(cfg.seed, TAG_MASK, 0, n, noise_idx))
-            result = run_pipeline_samples(samples)
-            before = result.obs.values
-            after = result.estimate.m_hat
-            truth = [s.true_label for s in samples]
-            sq_before = pdist(before, "sqeuclidean")
-            sq_after = pdist(after, "sqeuclidean")
-            idx = 0
-            N = len(samples)
-            for i in range(N):
-                for j in range(i + 1, N):
-                    dist_rows.append(
-                        (
-                            float(noise),
-                            i,
-                            j,
-                            1 if truth[i] == truth[j] else 0,
-                            float(sq_before[idx]),
-                            float(sq_after[idx]),
-                        )
-                    )
-                    idx += 1
-            coords = after @ result.svd.Vt[:2].T
-            for i in range(N):
-                proj_rows.append(
-                    (float(noise), i, truth[i], float(coords[i, 0]), float(coords[i, 1]))
-                )
+
+    def dist_rows():
+        # streamed into the CSV: a cell has about N^2/2 pairs, its projections only N rows
+        for n in cfg.n_list:
+            for noise_idx, noise in enumerate(cfg.noise_list):
+                batch = _poisson_samples(cfg, n, noise_idx, trial=0)
+                if p < 1.0:
+                    batch = mask(batch, p, child_seed(cfg.seed, TAG_MASK, 0, n, noise_idx))
+                result = run_pipeline_samples(batch)
+                after = result.estimate.m_hat
+                truth = batch.labels.tolist()
+                sq_before = pdist(result.obs.values, "sqeuclidean")
+                sq_after = pdist(after, "sqeuclidean")
+                idx = 0
+                N = len(batch)
+                for i in range(N):
+                    for j in range(i + 1, N):
+                        same = 1 if truth[i] == truth[j] else 0
+                        yield float(noise), i, j, same, float(sq_before[idx]), float(sq_after[idx])
+                        idx += 1
+                coords = after @ result.svd.Vt[:2].T
+                for i in range(N):
+                    proj_rows.append((float(noise), i, truth[i], float(coords[i, 0]), float(coords[i, 1])))
+
     return [
         _write_csv(
             out / "exp1_distances.csv",
             ("sigma", "row_i", "row_j", "same_cluster", "dist_sq_before", "dist_sq_after"),
-            dist_rows,
+            dist_rows(),
         ),
         _write_csv(out / "exp1_projections.csv", ("sigma", "row", "label", "pc1", "pc2"), proj_rows),
     ]
@@ -278,9 +268,9 @@ def _run_exp2(cfg: ExperimentConfig, out: Path) -> list[str]:
         for noise_idx, noise in enumerate(cfg.noise_list):
             for p_idx, p in enumerate(cfg.p_list):
                 for trial in range(cfg.trials):
-                    samples = _poisson_samples(cfg, n, noise_idx, trial)
+                    batch = _poisson_samples(cfg, n, noise_idx, trial)
                     masked = mask(
-                        samples, p, child_seed(cfg.seed, TAG_MASK, trial, n, noise_idx, p_idx)
+                        batch, p, child_seed(cfg.seed, TAG_MASK, trial, n, noise_idx, p_idx)
                     )
                     result = run_pipeline_samples(masked)
                     diag = result.diagnostics

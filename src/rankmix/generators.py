@@ -11,13 +11,21 @@ Z_a = u_a + eps_a, and rank items by sorting scores in descending order:
 
 The third, ``mallows``, places mass proportional to phi**d(sigma, center) on
 each ranking, with d the Kendall tau distance, and is sampled exactly by
-repeated insertion: the item at insertion step j lands r slots ahead of the
-back of the partial ranking with probability proportional to phi**r.
+repeated insertion (Doignon, Pekec & Regenwetter 2004): the item at step j
+lands r slots ahead of the back of the partial ranking with probability
+proportional to phi**r.
 
-Masking keeps each embedded coordinate independently with probability p and
-stores MISSING otherwise. All randomness is governed by an integer master
-seed with per-row substreams keyed by row identity, so masking and sampling
-are independently reproducible and row order never changes row randomness.
+One kernel samples a block of m rows: raw draws (m, .) -- n noise terms per
+row, or n-1 uniforms for mallows -- become item ranks (m, n), then embedded
+rows (m, d); repeated insertion takes one numpy step per item for all rows.
+Rows travel as one columnar ``SampleBatch`` (values over +-1/2 or MISSING,
+labels, unique row ids); masking keeps each coordinate with probability p.
+
+Randomness is keyed by (seed, row, tag): ``sample_mixture`` draws labels from
+(seed, labels-tag) and row ell from (seed, ell, sample-tag), and ``mask``
+draws row r from (seed, row_ids[r], mask-tag), so any row can be regenerated
+alone and row order never changes row randomness. ``sample_embedded_batch``
+and the experiments' Poisson blocks use one stream per block instead.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .rankings import EmbeddedObservation, Permutation, _indexer, embed
+from .rankings import Permutation, _indexer, embed_positions
+from .rankings import embed  # noqa: F401 -- perfbench/spans.py wraps generators.embed, so it stays bound
 from .seeding import TAG_LABELS, TAG_MASK, TAG_SAMPLE, substream
 
 MNL = "mnl"
@@ -126,16 +135,37 @@ class MixtureSpec:
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    """An embedded (possibly masked) observation plus its hidden label.
+class SampleBatch:
+    """N embedded, possibly masked rows with their hidden labels and row ids.
 
-    ``row_id`` is the sample's identity from generation time; mask substreams
-    key on it, which is what makes masking commute with reordering rows.
+    ``values`` is (N, d) over {-1/2, +1/2, MISSING}. ``row_ids`` are the rows'
+    unique identities from generation time; mask substreams key on them,
+    which is what makes masking commute with reordering rows.
     """
 
-    observation: EmbeddedObservation
-    true_label: int
-    row_id: int | None = None
+    values: np.ndarray
+    labels: np.ndarray
+    row_ids: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        row_ids = np.asarray(self.row_ids, dtype=np.int64)
+        if values.ndim != 2 or labels.shape != (values.shape[0],) or row_ids.shape != labels.shape:
+            raise ValueError(
+                f"need (N, d) values with N labels and N row ids, got shapes "
+                f"{values.shape}, {labels.shape}, {row_ids.shape}"
+            )
+        if not np.all((np.abs(values) == 0.5) | np.isnan(values)):
+            raise ValueError("every observed value must be exactly +1/2 or -1/2")
+        if np.unique(row_ids).size != row_ids.size:
+            raise ValueError("row ids must be unique")
+        for name, array in (("values", values), ("labels", labels), ("row_ids", row_ids)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
 
 
 # ----------------------------------------------------------------- sampling
@@ -147,100 +177,84 @@ def gumbel(beta: float, size, rng: np.random.Generator) -> np.ndarray:
         return -beta * np.log(-np.log(u))
 
 
-def order_from_scores(scores: np.ndarray) -> np.ndarray:
-    """Descending stable sort; on ties the lower item index is preferred."""
-    return np.argsort(-np.asarray(scores, dtype=float), kind="stable")
-
-
-def sample_component(spec: ComponentSpec, rng_seed) -> Permutation:
-    """Draw one ranking from a component. Deterministic given the seed."""
-    rng = np.random.default_rng(rng_seed)
+def _draws(spec: ComponentSpec, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The raw randomness of m rows: n noise terms each, or n-1 uniforms for mallows."""
     if spec.family == MALLOWS:
-        return Permutation(_sample_mallows(spec.center, spec.noise, rng))
+        return rng.random((m, spec.n - 1))
     if spec.family == MNL:
-        scores = spec.utilities + gumbel(spec.noise, spec.n, rng)
-    else:
-        scores = spec.utilities + spec.noise * rng.standard_normal(spec.n)
-    return Permutation(order_from_scores(scores))
+        return gumbel(spec.noise, (m, spec.n), rng)
+    return spec.noise * rng.standard_normal((m, spec.n))
 
 
-def _sample_mallows(center: Permutation, phi: float, rng: np.random.Generator) -> list:
-    """Repeated-insertion sampling, exact in O(n^2).
+def _embed_draws(spec: ComponentSpec, draws: np.ndarray) -> np.ndarray:
+    """Raw draws (m, .) -> item ranks (m, n) -> embedded rows (m, d)."""
+    if spec.family == MALLOWS:
+        return embed_positions(_mallows_positions(spec.center, spec.noise, draws))
+    # descending stable sort: on tied scores the lower item index comes first
+    order = np.argsort(-(spec.utilities + draws), axis=1, kind="stable")
+    return embed_positions(np.argsort(order, axis=1))
 
-    Inserting the j-th item of the center order at position i of the partial
-    ranking creates j - i new pair disagreements with the center, hence
-    position i gets probability proportional to phi**(j - i).
+
+def _mallows_positions(center: Permutation, phi: float, uniforms: np.ndarray) -> np.ndarray:
+    """Repeated insertion for every row at once, exact in O(m n^2).
+
+    Inserting the j-th item of the center order at slot i of the partial
+    ranking creates j - i new pair disagreements with the center, hence slot
+    i gets probability proportional to phi**(j - i). Step j picks every row's
+    slot with one searchsorted of that row's j-th uniform on the normalised
+    cdf that ``Generator.choice`` builds for those probabilities.
     """
-    order = [int(center.order[0])]
+    rank = np.zeros((uniforms.shape[0], center.n), dtype=np.int64)  # column j: rank of center.order[j]
     for j in range(1, center.n):
-        item = int(center.order[j])
         weights = phi ** (j - np.arange(j + 1, dtype=float))
-        probs = weights / weights.sum()
-        pos = int(rng.choice(j + 1, p=probs))
-        order.insert(pos, item)
-    return order
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        slot = cdf.searchsorted(uniforms[:, j - 1], side="right")
+        rank[:, :j] += rank[:, :j] >= slot[:, None]
+        rank[:, j] = slot
+    position = np.empty_like(rank)
+    position[:, center.order] = rank
+    return position
 
 
 def sample_embedded_batch(spec: ComponentSpec, m: int, rng_seed) -> np.ndarray:
     """m embedded draws from one component as an (m, d) array of +-1/2.
 
-    One shared stream; use sample_mixture when per-row reproducibility
-    matters. The mnl/gaussian path is vectorized across rows.
+    All m rows share one stream, so a row depends on the rows drawn before
+    it; sample_mixture gives every row its own substream instead.
     """
-    rng = np.random.default_rng(rng_seed)
-    n = spec.n
-    idx = _indexer(n)
-    if spec.family == MALLOWS:
-        rows = np.empty((m, spec.d))
-        for i in range(m):
-            rows[i] = embed(Permutation(_sample_mallows(spec.center, spec.noise, rng))).values
-        return rows
-    if spec.family == MNL:
-        scores = spec.utilities[None, :] + gumbel(spec.noise, (m, n), rng)
-    else:
-        scores = spec.utilities[None, :] + spec.noise * rng.standard_normal((m, n))
-    order = np.argsort(-scores, axis=1, kind="stable")
-    pos = np.empty_like(order)
-    np.put_along_axis(pos, order, np.broadcast_to(np.arange(n), (m, n)), axis=1)
-    return np.where(pos[:, idx.first] < pos[:, idx.second], 0.5, -0.5)
+    return _embed_draws(spec, _draws(spec, m, np.random.default_rng(rng_seed)))
 
 
-def sample_mixture(spec: MixtureSpec, N: int, rng_seed: int) -> list:
-    """Draw N labeled, unmasked samples; labels are i.i.d. from the weights.
+def sample_mixture(spec: MixtureSpec, N: int, rng_seed: int) -> SampleBatch:
+    """Draw N labeled, unmasked rows; labels are i.i.d. from the weights.
 
     Row ell uses the substream (rng_seed, ell, sample-tag), so any single row
     can be regenerated without touching the others.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    label_rng = substream(rng_seed, TAG_LABELS)
-    labels = label_rng.choice(spec.k, size=N, p=spec.weights)
-    out = []
-    for row in range(N):
-        component = spec.components[int(labels[row])]
-        perm = sample_component(component, substream(rng_seed, row, TAG_SAMPLE))
-        out.append(LabeledSample(embed(perm), int(labels[row]), row_id=row))
-    return out
+    labels = substream(rng_seed, TAG_LABELS).choice(spec.k, size=N, p=spec.weights)
+    values = np.empty((N, spec.components[0].d))
+    for label in np.unique(labels):
+        component = spec.components[label]
+        rows = np.flatnonzero(labels == label)
+        draws = [_draws(component, 1, substream(rng_seed, row, TAG_SAMPLE)) for row in rows]
+        values[rows] = _embed_draws(component, np.concatenate(draws))
+    return SampleBatch(values, labels, np.arange(N))
 
 
-def mask(samples, p: float, rng_seed: int) -> list:
-    """Keep each coordinate independently with probability p, else MISSING."""
+def mask(batch: SampleBatch, p: float, rng_seed: int) -> SampleBatch:
+    """Keep each coordinate independently with probability p, else MISSING.
+
+    Row r draws from the substream (rng_seed, batch.row_ids[r], mask-tag).
+    """
     if not (0.0 < p <= 1.0):
         raise ValueError(f"keep probability must lie in (0, 1], got {p}")
-    out = []
-    for position, sample in enumerate(samples):
-        row_id = sample.row_id if sample.row_id is not None else position
-        rng = substream(rng_seed, row_id, TAG_MASK)
-        keep = rng.random(sample.observation.values.size) < p
-        values = np.where(keep, sample.observation.values, np.nan)
-        out.append(
-            LabeledSample(
-                EmbeddedObservation(values, sample.observation.n),
-                sample.true_label,
-                row_id=sample.row_id,
-            )
-        )
-    return out
+    uniforms = np.empty(batch.values.shape)
+    for r, row_id in enumerate(batch.row_ids):
+        substream(rng_seed, row_id, TAG_MASK).random(out=uniforms[r])
+    return SampleBatch(np.where(uniforms < p, batch.values, np.nan), batch.labels, batch.row_ids)
 
 
 # ------------------------------------------------------------ exact oracles

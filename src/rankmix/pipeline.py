@@ -14,12 +14,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
 from .clustering import ClusteringResult, single_linkage
 from .estimation import HsvtEstimate, ObservationMatrix, SvdResult, compute_svd, hsvt, select_threshold
 from .evaluation import EvaluationReport, misclassification_rate, separation_gamma
-from .generators import MixtureSpec, cluster_mean, mask, sample_mixture
+from .generators import MixtureSpec, SampleBatch, cluster_mean, mask, sample_mixture
 
 
 class PipelineError(RuntimeError):
@@ -58,15 +56,14 @@ class PipelineResult:
         return iter((self.clustering, self.evaluation))
 
 
-def run_pipeline_samples(samples, exact_means=None, rank_hint: int | None = None) -> PipelineResult:
-    """Denoise-cluster-score a list of labeled (possibly masked) samples.
+def run_pipeline_samples(batch: SampleBatch, exact_means=None, rank_hint: int | None = None) -> PipelineResult:
+    """Denoise-cluster-score a batch of labeled (possibly masked) rows.
 
     exact_means, when given, are the true component means used for the
     separation diagnostic; with fewer than two of them gamma is None.
     """
     with _stage("stack"):
-        obs = ObservationMatrix.from_samples(samples)
-        truth = np.array([s.true_label for s in samples], dtype=int)
+        obs = ObservationMatrix.from_samples(batch)
     with _stage("svd"):
         svd = compute_svd(obs)
     with _stage("select_t1"):
@@ -76,7 +73,7 @@ def run_pipeline_samples(samples, exact_means=None, rank_hint: int | None = None
     with _stage("cluster"):
         clustering = single_linkage(estimate.m_hat)
     with _stage("evaluate"):
-        risk, matching = misclassification_rate(clustering.labels, truth)
+        risk, matching = misclassification_rate(clustering.labels, batch.labels)
         gamma = None
         if exact_means is not None and len(exact_means) >= 2:
             gamma = separation_gamma(exact_means)
@@ -104,9 +101,9 @@ def run_pipeline(
     """Sample N rows from the mixture, keep entries with probability p, then
     denoise, cluster, and score against the hidden labels."""
     with _stage("sample"):
-        samples = sample_mixture(spec, N, seed)
+        batch = sample_mixture(spec, N, seed)
     with _stage("mask"):
-        samples = mask(samples, p, seed)
+        batch = mask(batch, p, seed)
     with _stage("means"):
         exact_means = [cluster_mean(c) for c in spec.components] if spec.k >= 2 else None
-    return run_pipeline_samples(samples, exact_means=exact_means, rank_hint=rank_hint)
+    return run_pipeline_samples(batch, exact_means=exact_means, rank_hint=rank_hint)

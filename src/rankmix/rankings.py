@@ -72,8 +72,8 @@ class Permutation:
 class PairIndexer:
     """Lexicographic indexing of item pairs (a, b), a < b, for a fixed n.
 
-    index(a, b) is the rank of (a, b) among all d = n(n-1)/2 such pairs;
-    the arrays ``first`` and ``second`` give the inverse map in bulk.
+    Pair k of the d = n(n-1)/2 pairs is (first[k], second[k]); see
+    pair_index and pair_of for the scalar maps.
     """
 
     def __init__(self, n: int):
@@ -86,12 +86,6 @@ class PairIndexer:
         second.setflags(write=False)
         self.first = first
         self.second = second
-
-    def index(self, a: int, b: int) -> int:
-        return pair_index(a, b, self.n)
-
-    def pair(self, k: int) -> tuple[int, int]:
-        return pair_of(k, self.n)
 
 
 def pair_index(a: int, b: int, n: int) -> int:
@@ -135,30 +129,27 @@ class EmbeddedObservation:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "n", n)
 
-    @property
-    def d(self) -> int:
-        return self.values.size
 
-    def observed_mask(self) -> np.ndarray:
-        return ~np.isnan(self.values)
+def embed_positions(position) -> np.ndarray:
+    """Embed rows of item ranks (position[..., item] = rank) in bulk.
+
+    Coordinate (a, b) of a row is +1/2 iff a precedes b in that row.
+    """
+    position = np.asarray(position)
+    idx = _indexer(position.shape[-1])
+    return np.where(position[..., idx.first] < position[..., idx.second], 0.5, -0.5)
 
 
 def embed(perm: Permutation) -> EmbeddedObservation:
     """Embed a permutation: coordinate (a, b) is +1/2 iff a precedes b."""
-    idx = _indexer(perm.n)
-    a_before_b = perm.position[idx.first] < perm.position[idx.second]
-    values = np.where(a_before_b, 0.5, -0.5)
-    return EmbeddedObservation(values, perm.n)
+    return EmbeddedObservation(embed_positions(perm.position), perm.n)
 
 
 def kendall_tau(p1: Permutation, p2: Permutation) -> int:
     """Number of item pairs on which two permutations disagree."""
     if p1.n != p2.n:
         raise ValueError(f"item counts differ: {p1.n} vs {p2.n}")
-    idx = _indexer(p1.n)
-    d1 = p1.position[idx.first] < p1.position[idx.second]
-    d2 = p2.position[idx.first] < p2.position[idx.second]
-    return int(np.count_nonzero(d1 != d2))
+    return int(np.count_nonzero(embed_positions(p1.position) != embed_positions(p2.position)))
 
 
 def embedding_distance_sq(e1: EmbeddedObservation, e2: EmbeddedObservation) -> float:

@@ -144,3 +144,30 @@ def oracle_risk_exhaustive(predicted, truth):
 
 def random_order(rng, n):
     return list(rng.permutation(n))
+
+
+def oracle_mallows_insertion(center_order, phi, rng):
+    """One Mallows draw by repeated insertion: one rng.choice and one list.insert
+    per item, so slot i at step j has probability proportional to phi**(j - i)."""
+    order = [int(center_order[0])]
+    for j in range(1, len(center_order)):
+        weights = phi ** (j - np.arange(j + 1, dtype=float))
+        probs = weights / weights.sum()
+        order.insert(int(rng.choice(j + 1, p=probs)), int(center_order[j]))
+    return order
+
+
+def oracle_score_order(scores):
+    """Items by descending score; on tied scores the lower item index comes first."""
+    return sorted(range(len(scores)), key=lambda a: (-scores[a], a))
+
+
+def oracle_mask_rows(values, row_ids, p, seed, tag):
+    """Row by row: row r keeps a coordinate iff the uniform drawn for it from the
+    substream (seed, row_ids[r], tag) is below p, and holds NaN otherwise."""
+    out = []
+    for row, row_id in zip(values, row_ids):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(row_id), int(tag)]))
+        keep = rng.random(len(row)) < p
+        out.append(np.where(keep, row, np.nan))
+    return np.array(out).reshape(np.shape(values))

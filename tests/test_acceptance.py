@@ -61,7 +61,7 @@ def _three_component_spec(n, sigma, master_seed, trial):
 
 def _mean_matrix(spec, samples):
     means = [cluster_mean(c) for c in spec.components]
-    return np.vstack([means[s.true_label] for s in samples])
+    return np.vstack(means)[samples.labels]
 
 
 def test_01_embedding_distance_equals_kendall_tau():

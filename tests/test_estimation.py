@@ -271,7 +271,7 @@ def test_noise_norm_within_calibrated_delta():
         samples = mask(sample_mixture(spec, N, rng_seed=trial), p, rng_seed=1000 + trial)
         obs = ObservationMatrix.from_samples(samples)
         means = np.array([cluster_mean(c) for c in comps])
-        m = means[[s.true_label for s in samples]]
+        m = means[samples.labels]
         noise = np.linalg.norm(obs.values - p * m, 2)
         assert noise <= delta_bound(N=N, n=n, p=p, tau_star=tau, constants=consts)
 

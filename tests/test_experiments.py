@@ -9,6 +9,7 @@ import pytest
 from rankmix.experiments import (
     EXP2_COLUMNS,
     ExperimentConfig,
+    _write_csv,
     default_config,
     run_experiment,
 )
@@ -143,6 +144,25 @@ def test_exp2_seed_changes_output(tmp_path):
 # ---------------------------------------------------------------------------
 # exp1
 # ---------------------------------------------------------------------------
+
+def test_exp1_bit_identical_reruns(tmp_path):
+    kw = dict(n_list=(10,), k=2, lam=20.0, noise_list=(0.3, 0.5), p_list=(0.7,), seed=4)
+    pa = run_experiment(default_config("exp1", str(tmp_path / "a")).replace(**kw))
+    pb = run_experiment(default_config("exp1", str(tmp_path / "b")).replace(**kw))
+    assert len(pa) == len(pb) == 2
+    for a, b in zip(pa, pb):
+        assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+def test_csv_writer_leaves_no_file_when_rows_fail(tmp_path):
+    def rows():
+        yield (1, 0.5)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        _write_csv(tmp_path / "x.csv", ("a", "b"), rows())
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_exp1_outputs_and_margin_improvement(tmp_path):
     cfg = default_config("exp1", str(tmp_path / "out")).replace(

@@ -1,14 +1,18 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     lex_pairs,
+    oracle_embed,
     oracle_gaussian_marginal,
+    oracle_mallows_insertion,
     oracle_mallows_marginal,
     oracle_mallows_pmf,
+    oracle_mask_rows,
     oracle_mnl_marginal,
+    oracle_score_order,
     positions_of,
 )
 from rankmix.generators import (
@@ -16,22 +20,21 @@ from rankmix.generators import (
     MALLOWS,
     MNL,
     ComponentSpec,
-    LabeledSample,
     MixtureSpec,
+    SampleBatch,
     cluster_mean,
     exact_pairwise_marginal,
     gumbel,
     hypercube_utilities,
     mask,
     normal_utilities,
-    order_from_scores,
     rho_separated_utilities,
-    sample_component,
     sample_embedded_batch,
     sample_mixture,
 )
 from rankmix.pipeline import run_pipeline
-from rankmix.rankings import Permutation, is_missing
+from rankmix.rankings import Permutation, embed, is_missing
+from rankmix.seeding import TAG_MASK, TAG_SAMPLE, substream
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -76,8 +79,8 @@ def test_mixture_spec_validation():
 def test_gaussian_noiseless_limit_sorts_utilities():
     spec = ComponentSpec.gaussian([3.0, 2.0, 1.0], sigma=1e-9)
     for seed in range(200):
-        p = sample_component(spec, seed)
-        assert list(p.order) == [0, 1, 2]
+        (row,) = sample_embedded_batch(spec, 1, seed)
+        assert np.array_equal(row, embed(Permutation([0, 1, 2])).values)
 
 
 def test_mnl_two_item_marginal_matches_formula():
@@ -90,17 +93,15 @@ def test_mnl_two_item_marginal_matches_formula():
 def test_mallows_pmf_matches_brute_force():
     center = Permutation([0, 1, 2, 3])
     spec = ComponentSpec.mallows(center, phi=0.5)
-    want = oracle_mallows_pmf(tuple(center.order), 0.5)
-    counts = {}
-    rng = np.random.default_rng(4)
+    pairs = lex_pairs(4)
+    want = {
+        tuple(oracle_embed(perm)[pair] for pair in pairs): prob
+        for perm, prob in oracle_mallows_pmf(tuple(center.order), 0.5).items()
+    }
     draws = 100_000
-    for _ in range(draws):
-        p = sample_component(spec, rng)
-        key = tuple(p.order)
-        counts[key] = counts.get(key, 0) + 1
-    tv = 0.5 * sum(
-        abs(counts.get(perm, 0) / draws - prob) for perm, prob in want.items()
-    )
+    rows, counts = np.unique(sample_embedded_batch(spec, draws, 4), axis=0, return_counts=True)
+    freq = {tuple(row.tolist()): count / draws for row, count in zip(rows, counts)}
+    tv = 0.5 * sum(abs(freq.get(key, 0) - prob) for key, prob in want.items())
     assert tv <= 0.02
 
 
@@ -111,14 +112,50 @@ def test_gumbel_inverse_cdf_mean():
         assert abs(np.mean(g) - beta * EULER_GAMMA) / (beta * EULER_GAMMA) <= 0.02
 
 
-def test_order_from_scores_tie_break_prefers_lower_index():
-    assert list(order_from_scores(np.array([1.0, 1.0, 0.5]))) == [0, 1, 2]
-    assert list(order_from_scores(np.array([0.5, 1.0, 1.0]))) == [1, 2, 0]
+def test_tied_scores_prefer_lower_index():
+    # noise of scale 1e-300 vanishes against the utilities, so the scores tie exactly
+    for family in (ComponentSpec.gaussian, ComponentSpec.mnl):
+        for utilities, order in (([1.0, 1.0, 0.5], [0, 1, 2]), ([0.5, 1.0, 1.0], [1, 2, 0])):
+            rows = sample_embedded_batch(family(utilities, 1e-300), 50, 0)
+            assert np.array_equal(rows, np.tile(embed(Permutation(order)).values, (50, 1)))
 
 
-def test_sample_component_deterministic_given_seed():
+def test_sample_embedded_batch_deterministic_given_seed():
     spec = ComponentSpec.mnl([0.5, 0.0, -0.5, 1.0], beta=1.0)
-    assert sample_component(spec, 123) == sample_component(spec, 123)
+    assert np.array_equal(sample_embedded_batch(spec, 1, 123), sample_embedded_batch(spec, 1, 123))
+
+
+def _component(family, n, seed):
+    rng = np.random.default_rng(seed)
+    if family == MALLOWS:
+        return ComponentSpec.mallows(Permutation(rng.permutation(n)), phi=0.8)
+    if family == MNL:
+        return ComponentSpec.mnl(rng.normal(size=n), beta=0.7)
+    return ComponentSpec.gaussian(rng.normal(size=n), sigma=0.4)
+
+
+def _per_row_reference(spec, m, rng):
+    """m rows drawn one at a time from one stream, as the per-row sampler did."""
+    rows = []
+    for _ in range(m):
+        if spec.family == MALLOWS:
+            order = oracle_mallows_insertion(spec.center.order, spec.noise, rng)
+        elif spec.family == MNL:
+            order = oracle_score_order(spec.utilities + gumbel(spec.noise, spec.n, rng))
+        else:
+            order = oracle_score_order(spec.utilities + spec.noise * rng.standard_normal(spec.n))
+        embedded = oracle_embed(order)
+        rows.append([embedded[pair] for pair in lex_pairs(spec.n)])
+    return np.array(rows).reshape(m, spec.d)
+
+
+@pytest.mark.parametrize("m", (1, 500))
+@pytest.mark.parametrize("n", (2, 3, 7, 40))
+@pytest.mark.parametrize("family", (MNL, GAUSSIAN, MALLOWS))
+def test_batch_kernel_matches_per_row_reference(family, n, m):
+    spec = _component(family, n, seed=n)
+    want = _per_row_reference(spec, m, np.random.default_rng(17))
+    assert np.array_equal(sample_embedded_batch(spec, m, 17), want)
 
 
 # ------------------------------------------------------------ exact marginals
@@ -231,14 +268,14 @@ def test_sample_mixture_single_component_labels():
     spec = MixtureSpec([ComponentSpec.mnl([1.0, 0.0], beta=1.0)], [1.0])
     samples = sample_mixture(spec, 50, rng_seed=3)
     assert len(samples) == 50
-    assert all(s.true_label == 0 for s in samples)
-    assert all(s.row_id == i for i, s in enumerate(samples))
+    assert np.all(samples.labels == 0)
+    assert np.array_equal(samples.row_ids, np.arange(50))
 
 
 def test_sample_mixture_label_frequencies():
     spec = _two_component_mixture(n=2)
     samples = sample_mixture(spec, 100_000, rng_seed=5)
-    freq = np.mean([s.true_label for s in samples])
+    freq = np.mean(samples.labels)
     assert abs(freq - 0.5) <= 0.01
 
 
@@ -247,9 +284,7 @@ def test_sample_mixture_within_label_means_near_their_centers():
     samples = sample_mixture(spec, 100, rng_seed=21)
     mu = [cluster_mean(c) for c in spec.components]
     for label in (0, 1):
-        rows = np.array(
-            [s.observation.values for s in samples if s.true_label == label]
-        )
+        rows = samples.values[samples.labels == label]
         assert len(rows) > 10
         emp = rows.mean(axis=0)
         d_own = np.linalg.norm(emp - mu[label])
@@ -261,9 +296,38 @@ def test_sample_mixture_deterministic():
     spec = _two_component_mixture()
     a = sample_mixture(spec, 20, rng_seed=8)
     b = sample_mixture(spec, 20, rng_seed=8)
-    for s, t in zip(a, b):
-        assert s.true_label == t.true_label
-        assert np.array_equal(s.observation.values, t.observation.values)
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.values, b.values)
+
+
+def _three_family_mixture(n):
+    return MixtureSpec([_component(family, n, seed=n) for family in (MNL, GAUSSIAN, MALLOWS)], [0.3, 0.3, 0.4])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), N=st.integers(1, 25))
+def test_sample_mixture_row_equals_its_own_one_row_block(seed, n, N):
+    spec = _three_family_mixture(n)
+    batch = sample_mixture(spec, N, seed)
+    assert np.array_equal(batch.row_ids, np.arange(N))
+    for row in range(N):
+        component = spec.components[batch.labels[row]]
+        (want,) = sample_embedded_batch(component, 1, substream(seed, row, TAG_SAMPLE))
+        assert np.array_equal(batch.values[row], want)
+
+
+def test_sample_batch_validates_in_bulk():
+    values = np.array([[0.5, -0.5, np.nan], [-0.5, 0.5, 0.5]])
+    batch = SampleBatch(values, [0, 1], [4, 9])
+    assert len(batch) == 2 and batch.labels.dtype == np.int64
+    with pytest.raises(ValueError):
+        SampleBatch(values, [0, 1], [4, 4])  # duplicate row ids
+    with pytest.raises(ValueError):
+        SampleBatch(values, [0], [4, 9])  # one label short
+    with pytest.raises(ValueError):
+        SampleBatch(values[0], [0], [4])  # not 2-d
+    with pytest.raises(ValueError):
+        SampleBatch(values * 2, [0, 1], [4, 9])  # +-1 is not an embedded value
 
 
 # ------------------------------------------------------------------- masking
@@ -272,8 +336,7 @@ def test_mask_p_one_is_identity():
     spec = _two_component_mixture()
     samples = sample_mixture(spec, 10, rng_seed=1)
     masked = mask(samples, 1.0, rng_seed=2)
-    for s, t in zip(samples, masked):
-        assert np.array_equal(s.observation.values, t.observation.values)
+    assert np.array_equal(samples.values, masked.values)
 
 
 def test_mask_rejects_bad_p():
@@ -291,7 +354,7 @@ def test_mask_observed_fraction_concentrates():
     )
     samples = sample_mixture(spec, 2300, rng_seed=13)
     masked = mask(samples, 0.3, rng_seed=14)
-    values = np.array([s.observation.values for s in masked])
+    values = masked.values
     frac = 1.0 - float(np.mean(is_missing(values)))
     assert abs(frac - 0.3) <= 0.002
 
@@ -301,12 +364,26 @@ def test_mask_substreams_commute_with_row_order():
     samples = sample_mixture(spec, 30, rng_seed=6)
     masked = mask(samples, 0.5, rng_seed=7)
     perm = np.random.default_rng(0).permutation(30)
-    reordered = [samples[i] for i in perm]
+    reordered = SampleBatch(samples.values[perm], samples.labels[perm], samples.row_ids[perm])
     masked2 = mask(reordered, 0.5, rng_seed=7)
     for out_pos, src in enumerate(perm):
-        a = masked2[out_pos].observation.values
-        b = masked[src].observation.values
+        a = masked2.values[out_pos]
+        b = masked.values[src]
         assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("N", (1, 500))
+@pytest.mark.parametrize("n", (2, 3, 7, 40))
+def test_mask_matches_per_row_reference(n, N):
+    batch = sample_mixture(_three_family_mixture(n), N, rng_seed=n)
+    shuffled = SampleBatch(batch.values[::-1], batch.labels[::-1], 1000 + 3 * batch.row_ids[::-1])
+    for rows in (batch, shuffled):
+        for p in (0.05, 0.5, 1.0):
+            masked = mask(rows, p, rng_seed=9)
+            want = oracle_mask_rows(rows.values, rows.row_ids, p, 9, TAG_MASK)
+            assert np.array_equal(masked.values, want, equal_nan=True)
+            assert np.array_equal(masked.labels, rows.labels)
+            assert np.array_equal(masked.row_ids, rows.row_ids)
 
 
 # ------------------------------------------------------------------- helpers

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankmix.generators import ComponentSpec, MixtureSpec, mask, normal_utilities, sample_mixture
+from rankmix.generators import ComponentSpec, MixtureSpec, SampleBatch, mask, normal_utilities, sample_mixture
 from rankmix.pipeline import PipelineError, PipelineResult, run_pipeline, run_pipeline_samples
 from rankmix.seeding import substream
 
@@ -113,3 +115,18 @@ def test_run_on_premade_samples():
     result = run_pipeline_samples(samples, exact_means=None)
     assert result.evaluation.risk <= 0.05
     assert result.evaluation.gamma is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), perm_seed=st.integers(0, 2**32 - 1), p=st.sampled_from([1.0, 0.6]))
+def test_permuting_rows_relabels_partition_and_keeps_risk(seed, perm_seed, p):
+    spec = _gaussian_mixture(3, 10, 0.4, seed)
+    batch = mask(sample_mixture(spec, 90, seed), p, seed)
+    perm = np.random.default_rng(perm_seed).permutation(len(batch))
+    shuffled = SampleBatch(batch.values[perm], batch.labels[perm], batch.row_ids[perm])
+    a = run_pipeline_samples(batch)
+    b = run_pipeline_samples(shuffled)
+    # same partition up to relabelling: the label pairs form a bijection
+    pairs = set(zip(a.clustering.labels[perm].tolist(), b.clustering.labels.tolist()))
+    assert len(pairs) == a.clustering.k_hat == b.clustering.k_hat
+    assert a.evaluation.risk == b.evaluation.risk

@@ -9,7 +9,6 @@ from oracles import lex_pairs, oracle_embed, oracle_inversions, random_order
 from rankmix.rankings import (
     MISSING,
     EmbeddedObservation,
-    PairIndexer,
     Permutation,
     embed,
     embedding_distance_sq,
@@ -52,13 +51,12 @@ def test_embed_full_reversal():
 
 def test_embed_matches_position_oracle():
     rng = np.random.default_rng(7)
-    idx = PairIndexer(4)
     for _ in range(50):
         order = random_order(rng, 4)
         e = embed(Permutation(order))
         want = oracle_embed(order)
         for (a, b), v in want.items():
-            assert e.values[idx.index(a, b)] == v
+            assert e.values[pair_index(a, b, 4)] == v
 
 
 def test_embed_values_are_half_integers():
