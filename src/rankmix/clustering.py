@@ -2,8 +2,9 @@
 
 Clusters are the connected components of the graph with an edge between rows
 i and j whenever ||row_i - row_j||_2 <= t2. We compute them by building one
-minimum spanning tree (Prim, dense, O(N^2)) and cutting every edge above t2
--- the two constructions give identical partitions. When no t2 is given, the
+minimum spanning tree (Prim, dense, O(N^2) distances; each step scans only
+the rows not yet in the tree) and cutting every edge above t2 -- the two
+constructions give identical partitions. When no t2 is given, the
 same tree's sorted edge weights choose it: the midpoint of the largest
 consecutive gap, with a guard that falls back to a single cluster when no gap
 stands out.
@@ -19,6 +20,9 @@ import numpy as np
 _FALLBACK_MARGIN = 1e-9
 # a gap must beat this ratio (upper/lower weight) to count as a cluster split
 _GAP_RATIO = 1.5
+# Prim's scratch buffer: small enough to stay in cache and to bound the extra
+# memory at one copy of the input rows
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -42,30 +46,50 @@ class ClusteringResult:
 def _mst_edges(rows: np.ndarray):
     """Prim's algorithm over the complete Euclidean graph.
 
-    Distance rows are computed on demand, so memory stays O(N) on top of the
-    input. Returns (u, v, w) arrays of the N-1 tree edges in insertion order;
-    each u joined the tree before its v.
+    Rows not yet in the tree stay compacted in one copy of the input (the
+    row that joins is swap-removed), so step k computes only the N-1-k
+    distances it needs, with a full scan's arithmetic, through a scratch
+    buffer of at most _CHUNK_BYTES. Returns (u, v, w) arrays of the N-1 tree
+    edges in insertion order; each u joined the tree before its v. Tied
+    distances may join in another order than a full scan's, but the multiset
+    of MST weights is the same.
     """
-    N = rows.shape[0]
-    in_tree = np.zeros(N, dtype=bool)
-    in_tree[0] = True
-    best_dist = np.sqrt(((rows - rows[0]) ** 2).sum(axis=1))
-    best_from = np.zeros(N, dtype=np.intp)
-    best_dist[0] = np.inf
+    N, d = rows.shape
+    rest = np.arange(1, N)  # original index of each out-of-tree row
+    pts = rows[1:].copy()  # those rows, in the same order
+    step = max(1, _CHUNK_BYTES // (8 * max(d, 1)))
+    buf = np.empty((min(step, N - 1), d))
+
+    def dist_to(row: np.ndarray, m: int) -> np.ndarray:
+        out = np.empty(m)
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            diff = buf[: hi - lo]
+            np.subtract(pts[lo:hi], row, out=diff)
+            np.square(diff, out=diff)
+            np.sqrt(diff.sum(axis=1), out=out[lo:hi])
+        return out
+
+    best_dist = dist_to(rows[0], N - 1)
+    best_from = np.zeros(N - 1, dtype=np.intp)
     us = np.empty(N - 1, dtype=np.intp)
     vs = np.empty(N - 1, dtype=np.intp)
     ws = np.empty(N - 1, dtype=float)
     for k in range(N - 1):
-        j = int(np.argmin(best_dist))
-        us[k] = best_from[j]
+        m = N - 2 - k  # out-of-tree rows left after this step
+        i = int(np.argmin(best_dist[: m + 1]))
+        j = int(rest[i])
+        us[k] = best_from[i]
         vs[k] = j
-        ws[k] = best_dist[j]
-        in_tree[j] = True
-        best_dist[j] = np.inf
-        dj = np.sqrt(((rows - rows[j]) ** 2).sum(axis=1))
-        closer = (dj < best_dist) & ~in_tree
-        best_dist[closer] = dj[closer]
-        best_from[closer] = j
+        ws[k] = best_dist[i]
+        row_j = pts[i].copy()
+        # swap-remove row i: the last out-of-tree row takes its slot
+        pts[i] = pts[m]
+        rest[i], best_dist[i], best_from[i] = rest[m], best_dist[m], best_from[m]
+        dj = dist_to(row_j, m)
+        closer = dj < best_dist[:m]
+        best_dist[:m][closer] = dj[closer]
+        best_from[:m][closer] = j
     return us, vs, ws
 
 

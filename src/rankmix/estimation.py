@@ -9,6 +9,11 @@ probability:
     m_hat = (1/p_hat) * sum_{sigma_j > t1} sigma_j u_j v_j^T,
     p_hat = max(#observed, 1) / (N*d).
 
+The estimate is held as its rank-r factors, left = U_r S_r and Vt = V_r^T,
+and the dense N x d m_hat is built only on demand. Because V_r has
+orthonormal rows, distances between rows of m_hat equal distances between
+rows of the N x r coordinates left / p_hat, so clustering never needs it.
+
 The module also exposes the concentration-side diagnostics: the K(p) norm of
 a centered Bernoulli, the Delta noise-level bound, and a report that checks a
 chosen threshold against the spectrum of the ground-truth mean matrix (only
@@ -19,7 +24,8 @@ bounds are configuration with default 1; they gate nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,12 +95,24 @@ class SvdResult:
 
 @dataclass(frozen=True)
 class HsvtEstimate:
-    """Denoised, rescaled estimate with the thresholding bookkeeping."""
+    """Denoised, rescaled estimate as rank-r factors, with the thresholding
+    bookkeeping: m_hat = left @ Vt / p_hat, left = U_r S_r (not rescaled)."""
 
-    m_hat: np.ndarray
+    left: np.ndarray
+    Vt: np.ndarray
     kept_rank: int
     threshold_used: float
     p_hat: float
+
+    @property
+    def coords(self) -> np.ndarray:
+        """N x r rows whose pairwise distances equal those of m_hat's rows."""
+        return self.left / self.p_hat
+
+    @cached_property
+    def m_hat(self) -> np.ndarray:
+        """The dense N x d estimate, built on first access (zeros at rank 0)."""
+        return self.left @ self.Vt / self.p_hat
 
 
 @dataclass(frozen=True)
@@ -144,8 +162,10 @@ def compute_svd(y) -> SvdResult:
 def hsvt(y, threshold: float, svd: SvdResult | None = None, p_hat: float | None = None) -> HsvtEstimate:
     """Hard singular value thresholding at t1, rescaled by 1/p_hat.
 
-    Keeps the components with sigma_j strictly above the threshold. A plain
-    array input is treated as fully observed (p_hat = 1 unless given).
+    Keeps the components with sigma_j strictly above the threshold and
+    returns them as factors (see HsvtEstimate). A plain array input is
+    treated as fully observed (p_hat = 1 unless given). Raises ValueError
+    unless 0 < p_hat <= 1 and a given svd is of a matrix shaped like y.
     """
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
@@ -155,16 +175,16 @@ def hsvt(y, threshold: float, svd: SvdResult | None = None, p_hat: float | None 
             p_hat = 1.0
         else:
             p_hat = estimate_p_hat(y)
+    if not 0.0 < p_hat <= 1.0:
+        raise ValueError(f"p_hat must lie in (0, 1], got {p_hat}")
     if svd is None:
         svd = compute_svd(values)
+    elif (svd.N, svd.d) != values.shape:
+        raise ValueError(f"svd is of a {svd.N}x{svd.d} matrix, y is {values.shape}")
     s = svd.singular_values
     kept = s > threshold
     kept_rank = int(np.count_nonzero(kept))
-    if kept_rank == 0:
-        m_hat = np.zeros_like(values)
-    else:
-        m_hat = (svd.U[:, kept] * s[kept]) @ svd.Vt[kept] / p_hat
-    return HsvtEstimate(m_hat, kept_rank, float(threshold), float(p_hat))
+    return HsvtEstimate(svd.U[:, kept] * s[kept], svd.Vt[kept], kept_rank, float(threshold), float(p_hat))
 
 
 def hsvt_projector(svd: SvdResult, threshold: float):

@@ -237,10 +237,10 @@ def _run_exp1(cfg: ExperimentConfig, out: Path) -> list[str]:
                 if p < 1.0:
                     batch = mask(batch, p, child_seed(cfg.seed, TAG_MASK, 0, n, noise_idx))
                 result = run_pipeline_samples(batch)
-                after = result.estimate.m_hat
+                est = result.estimate
                 truth = batch.labels.tolist()
                 sq_before = pdist(result.obs.values, "sqeuclidean")
-                sq_after = pdist(after, "sqeuclidean")
+                sq_after = pdist(est.coords, "sqeuclidean")  # equals m_hat's row distances
                 idx = 0
                 N = len(batch)
                 for i in range(N):
@@ -248,9 +248,9 @@ def _run_exp1(cfg: ExperimentConfig, out: Path) -> list[str]:
                         same = 1 if truth[i] == truth[j] else 0
                         yield float(noise), i, j, same, float(sq_before[idx]), float(sq_after[idx])
                         idx += 1
-                coords = after @ result.svd.Vt[:2].T
+                pcs = est.coords @ (est.Vt @ result.svd.Vt[:2].T)  # m_hat @ Vt[:2].T, factored
                 for i in range(N):
-                    proj_rows.append((float(noise), i, truth[i], float(coords[i, 0]), float(coords[i, 1])))
+                    proj_rows.append((float(noise), i, truth[i], float(pcs[i, 0]), float(pcs[i, 1])))
 
     return [
         _write_csv(

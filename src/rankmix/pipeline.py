@@ -2,9 +2,11 @@
 
 The stages are fixed: stack the masked embeddings, estimate the observation
 probability, take the SVD, choose the singular value threshold (from a rank
-hint when given, by spectral gap otherwise), rescale-and-threshold, cluster
-(one MST whose weight gap chooses the distance threshold and whose cut gives
-the single-linkage labels), then score the labels against the hidden truth.
+hint when given, by spectral gap otherwise), rescale-and-threshold into
+rank-r factors, cluster the N x r coordinates (one MST whose weight gap
+chooses the distance threshold and whose cut gives the single-linkage labels;
+their distances are those of the dense estimate's rows, which is never
+built), then score the labels against the hidden truth.
 Every stage failure is re-raised as a PipelineError tagged with the stage
 name, and every random choice descends from the one seed argument.
 """
@@ -71,7 +73,7 @@ def run_pipeline_samples(batch: SampleBatch, exact_means=None, rank_hint: int | 
     with _stage("hsvt"):
         estimate = hsvt(obs, t1, svd=svd)
     with _stage("cluster"):
-        clustering = single_linkage(estimate.m_hat)
+        clustering = single_linkage(estimate.coords)
     with _stage("evaluate"):
         risk, matching = misclassification_rate(clustering.labels, batch.labels)
         gamma = None

@@ -171,3 +171,32 @@ def oracle_mask_rows(values, row_ids, p, seed, tag):
         keep = rng.random(len(row)) < p
         out.append(np.where(keep, row, np.nan))
     return np.array(out).reshape(np.shape(values))
+
+
+def oracle_prim_full_scan(rows):
+    """Prim's algorithm that recomputes distances to every row at each step.
+
+    Returns (u, v, w) arrays of the N-1 tree edges in insertion order; among
+    tied distances the lowest row index joins first.
+    """
+    N = rows.shape[0]
+    in_tree = np.zeros(N, dtype=bool)
+    in_tree[0] = True
+    best_dist = np.sqrt(((rows - rows[0]) ** 2).sum(axis=1))
+    best_from = np.zeros(N, dtype=np.intp)
+    best_dist[0] = np.inf
+    us = np.empty(N - 1, dtype=np.intp)
+    vs = np.empty(N - 1, dtype=np.intp)
+    ws = np.empty(N - 1, dtype=float)
+    for k in range(N - 1):
+        j = int(np.argmin(best_dist))
+        us[k] = best_from[j]
+        vs[k] = j
+        ws[k] = best_dist[j]
+        in_tree[j] = True
+        best_dist[j] = np.inf
+        dj = np.sqrt(((rows - rows[j]) ** 2).sum(axis=1))
+        closer = (dj < best_dist) & ~in_tree
+        best_dist[closer] = dj[closer]
+        best_from[closer] = j
+    return us, vs, ws

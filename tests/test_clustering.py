@@ -13,11 +13,12 @@ from hypothesis.extra import numpy as hnp
 
 from rankmix import cli, clustering
 from rankmix.clustering import ClusteringResult, single_linkage
+from rankmix.estimation import compute_svd, hsvt
 from rankmix.fileio import write_matrix
 from rankmix.generators import ComponentSpec, MixtureSpec, normal_utilities
 from rankmix.pipeline import run_pipeline
 
-from oracles import oracle_epsilon_graph_labels
+from oracles import oracle_epsilon_graph_labels, oracle_prim_full_scan
 
 
 def _two_blobs(rng, n_per, dim, spread, gap):
@@ -235,6 +236,73 @@ def test_auto_t2_labels_equal_epsilon_graph(rows):
     assert (res.k_hat == 1) == bool(res.threshold_used > res.mst_edge_weights.max())
 
 
+def _rows_of_kind(kind, N, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.normal(size=(N, d))
+    if kind == "integer_ties":
+        return rng.integers(0, 3, size=(N, d)).astype(float)
+    if kind == "duplicated":
+        distinct = rng.normal(size=(max(1, N // 3), d))
+        return distinct[rng.integers(0, len(distinct), size=N)]
+    return _two_blobs(rng, (N + 1) // 2, d, spread=0.3, gap=6.0)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["gaussian", "integer_ties", "duplicated", "two_blobs"]),
+    st.integers(2, 40),
+    st.integers(1, 30),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([8, 200, 4096, 1 << 20]),
+)
+def test_compacted_prim_matches_full_scan_bit_for_bit(kind, N, d, seed, chunk_bytes):
+    # small chunk sizes split each distance scan across many buffer fills
+    rows = _rows_of_kind(kind, N, d, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_CHUNK_BYTES", chunk_bytes)
+        us, vs, ws = clustering._mst_edges(rows)
+        fast = single_linkage(rows)
+        mp.setattr(clustering, "_mst_edges", oracle_prim_full_scan)
+        ref = single_linkage(rows)
+    # a spanning tree grown from row 0, each edge weighted by its own distance
+    assert sorted(vs.tolist()) == list(range(1, len(rows)))
+    joined = {0}
+    for u, v in zip(us.tolist(), vs.tolist()):
+        assert u in joined
+        joined.add(v)
+    assert np.array_equal(ws, np.sqrt(((rows[vs] - rows[us]) ** 2).sum(axis=1)))
+    assert np.array_equal(fast.mst_edge_weights, ref.mst_edge_weights)
+    assert fast.threshold_used == ref.threshold_used
+    assert np.array_equal(fast.labels, ref.labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 30),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 1.0),
+)
+def test_factored_clustering_matches_dense(N, d, k, seed, p_hat):
+    rng = np.random.default_rng(seed)
+    centers = 4.0 * rng.normal(size=(k, d))
+    y = centers[rng.integers(0, k, size=N)] + 0.3 * rng.normal(size=(N, d))
+    svd = compute_svd(y)
+    thresholds = np.append(svd.singular_values, 0.0)
+    for r in range(min(N, d) + 1):  # every kept rank, 0 and min(N, d) included
+        est = hsvt(y, thresholds[r], svd=svd, p_hat=p_hat)
+        assert est.kept_rank == r and est.coords.shape == (N, r)
+        factored = single_linkage(est.coords)
+        dense = single_linkage(est.m_hat)
+        assert factored.k_hat == dense.k_hat
+        assert np.array_equal(factored.labels, dense.labels)
+        atol = 1e-12 * np.abs(est.m_hat).max()
+        assert np.allclose(factored.mst_edge_weights, dense.mst_edge_weights, rtol=1e-12, atol=atol)
+        assert factored.threshold_used == pytest.approx(dense.threshold_used, rel=1e-12, abs=atol)
+
+
 # ---------------------------------------------------------------------------
 # input validation and the one shared tree
 # ---------------------------------------------------------------------------
@@ -259,12 +327,14 @@ def _count_mst_builds(monkeypatch):
 
 
 def test_run_pipeline_builds_one_mst(monkeypatch):
+    # the one tree is built on the N x kept_rank factors; m_hat is never built
     calls = _count_mst_builds(monkeypatch)
     spec = MixtureSpec(
         [ComponentSpec.gaussian(normal_utilities(8, c), 0.3) for c in range(2)], [0.5, 0.5]
     )
-    run_pipeline(spec, N=40, p=0.8, seed=0)
-    assert len(calls) == 1
+    result = run_pipeline(spec, N=40, p=0.8, seed=0)
+    assert calls == [(40, result.estimate.kept_rank)]
+    assert "m_hat" not in vars(result.estimate)
 
 
 def test_cli_cluster_auto_builds_one_mst(monkeypatch, tmp_path):

@@ -148,6 +148,39 @@ def test_hsvt_rejects_nan_or_negative_threshold(threshold):
         hsvt(y, threshold)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(p_hat=0.0),
+        dict(p_hat=np.nan),
+        dict(p_hat=-0.5),
+        dict(p_hat=2.0),
+        dict(svd=compute_svd(np.eye(3))),
+    ],
+    ids=["p_hat_zero", "p_hat_nan", "p_hat_negative", "p_hat_above_one", "svd_of_another_matrix"],
+)
+def test_hsvt_rejects_bad_p_hat_or_foreign_svd(kwargs):
+    y, _, _ = _two_perm_matrix()
+    with pytest.raises(ValueError, match="p_hat|svd"):
+        hsvt(y, 1.0, **kwargs)
+
+
+def test_m_hat_is_built_from_the_factors_bit_for_bit():
+    rng = np.random.default_rng(17)
+    y = np.where(rng.random((25, 12)) < 0.5, 0.5, -0.5)
+    y[rng.random(y.shape) < 0.3] = np.nan
+    obs = ObservationMatrix.from_dense(y)
+    svd = compute_svd(obs)
+    s = svd.singular_values
+    for t, rank in ((s[0], 0), (s[2], 2), (0.0, 12)):
+        est = hsvt(obs, t, svd=svd)
+        kept = s > t
+        expected = (svd.U[:, kept] * s[kept]) @ svd.Vt[kept] / est.p_hat
+        assert est.kept_rank == rank and est.coords.shape == (25, rank)
+        assert est.m_hat.shape == (25, 12)
+        assert np.array_equal(est.m_hat, expected)
+
+
 # ------------------------------------------------------------- select t1
 
 def test_select_threshold_gap_heuristic_example():

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+from rankmix import experiments
 from rankmix.experiments import (
     EXP2_COLUMNS,
     ExperimentConfig,
@@ -152,6 +154,27 @@ def test_exp1_bit_identical_reruns(tmp_path):
     assert len(pa) == len(pb) == 2
     for a, b in zip(pa, pb):
         assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+def test_exp1_after_columns_equal_dense_estimate(tmp_path, monkeypatch):
+    # exp1 works on the factors; its columns must match the dense m_hat's
+    results = []
+    original = experiments.run_pipeline_samples
+
+    def recorded(batch):
+        results.append(original(batch))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "run_pipeline_samples", recorded)
+    kw = dict(n_list=(10,), k=2, lam=20.0, noise_list=(0.3, 0.5), p_list=(0.7,), seed=4)
+    dist_path, proj_path = run_experiment(default_config("exp1", str(tmp_path)).replace(**kw))
+    after = np.array([float(r[5]) for r in _read_csv(dist_path)[1]])
+    pcs = np.array([[float(r[3]), float(r[4])] for r in _read_csv(proj_path)[1]])
+    want_after = np.concatenate([pdist(r.estimate.m_hat, "sqeuclidean") for r in results])
+    want_pcs = np.vstack([r.estimate.m_hat @ r.svd.Vt[:2].T for r in results])
+    assert len(results) == 2
+    assert np.abs(after - want_after).max() <= 1e-12 * np.abs(want_after).max()
+    assert np.all(np.abs(pcs - want_pcs).max(axis=0) <= 1e-12 * np.abs(want_pcs).max(axis=0))
 
 
 def test_csv_writer_leaves_no_file_when_rows_fail(tmp_path):
