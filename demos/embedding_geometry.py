@@ -17,9 +17,9 @@ for _ in range(8):
 
 # the embedding coordinates live on item pairs in lexicographic order
 p = Permutation([2, 0, 3, 1])
-e = embed(p)
+e = embed(p)  # a plain read-only array, one coordinate per item pair
 print("\norder", p.order.tolist(), "-> embedding")
-for k, v in enumerate(e.values):
+for k, v in enumerate(e):
     a, b = pair_of(k, p.n)
     first = a if v > 0 else b
     print(f"  pair ({a},{b}): {v:+.1f}   ({first} comes first)")

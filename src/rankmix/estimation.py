@@ -1,9 +1,9 @@
 """Stacking masked observations and denoising by singular value thresholding.
 
-The observation matrix Y holds N embedded rows with MISSING entries replaced
-by exactly 0. Denoising takes the SVD of Y, drops every component whose
-singular value is at or below a threshold t1 (the kept set uses the strict
-inequality sigma_j > t1), and rescales by the estimated observation
+The observation matrix Y holds N embedded rows with missing (NaN) entries
+replaced by exactly 0. Denoising takes the SVD of Y, drops every component
+whose singular value is at or below a threshold t1 (the kept set uses the
+strict inequality sigma_j > t1), and rescales by the estimated observation
 probability:
 
     m_hat = (1/p_hat) * sum_{sigma_j > t1} sigma_j u_j v_j^T,
@@ -17,8 +17,8 @@ rows of the N x r coordinates left / p_hat, so clustering never needs it.
 The module also exposes the concentration-side diagnostics: the K(p) norm of
 a centered Bernoulli, the Delta noise-level bound, and a report that checks a
 chosen threshold against the spectrum of the ground-truth mean matrix (only
-available in synthetic mode). The unspecified absolute constants in those
-bounds are configuration with default 1; they gate nothing.
+available in synthetic mode). The unspecified absolute constant in the Delta
+bound is the keyword C, default 1; it gates nothing.
 """
 
 from __future__ import annotations
@@ -57,14 +57,14 @@ class ObservationMatrix:
 
     @classmethod
     def from_dense(cls, values) -> "ObservationMatrix":
-        """Build from an array using NaN as the MISSING marker."""
+        """Build from an array in which NaN marks a missing entry."""
         values = np.asarray(values, dtype=float)
         mask = ~np.isnan(values)
         return cls(np.where(mask, values, 0.0), mask)
 
     @classmethod
     def from_samples(cls, batch) -> "ObservationMatrix":
-        """Build from a SampleBatch, whose values mark MISSING with NaN."""
+        """Build from a SampleBatch, whose values mark missing entries with NaN."""
         return cls.from_dense(batch.values)
 
     @property
@@ -113,20 +113,6 @@ class HsvtEstimate:
     def m_hat(self) -> np.ndarray:
         """The dense N x d estimate, built on first access (zeros at rank 0)."""
         return self.left @ self.Vt / self.p_hat
-
-
-@dataclass(frozen=True)
-class ConcentrationConstants:
-    """Unspecified absolute constant in the concentration bounds.
-
-    C scales the Delta bound. It defaults to 1 and is diagnostics-only:
-    nothing in the algorithm branches on it.
-    """
-
-    C: float = 1.0
-
-
-DEFAULT_CONSTANTS = ConcentrationConstants()
 
 
 def _as_matrix(y) -> tuple[np.ndarray, np.ndarray | None]:
@@ -187,21 +173,6 @@ def hsvt(y, threshold: float, svd: SvdResult | None = None, p_hat: float | None 
     return HsvtEstimate(svd.U[:, kept] * s[kept], svd.Vt[kept], kept_rank, float(threshold), float(p_hat))
 
 
-def hsvt_projector(svd: SvdResult, threshold: float):
-    """Row-space projector induced by thresholding: w -> sum_kept <w, v_j> v_j.
-
-    Applying it to row i of Y reproduces row i of the (unrescaled)
-    thresholded matrix; it is a linear contraction.
-    """
-    kept = svd.singular_values > threshold
-    vk = svd.Vt[kept]
-
-    def project(w: np.ndarray) -> np.ndarray:
-        return vk.T @ (vk @ np.asarray(w, dtype=float))
-
-    return project
-
-
 def select_threshold(svd: SvdResult, target_rank: int | None = None) -> float:
     """Pick t1 from the spectrum.
 
@@ -246,15 +217,16 @@ def delta_bound(
     n: int,
     p: float,
     tau_star: float,
-    constants: ConcentrationConstants = DEFAULT_CONSTANTS,
+    C: float = 1.0,
 ) -> float:
-    """Bound on the spectral noise level ||Y - pM||_2:
+    """Bound on the spectral noise level ||Y - pM||_2, with C the paper's
+    unspecified absolute constant:
 
     Delta = C * ((sqrt(p) + p tau*) sqrt(N) + (tau* + K(p)) (n + sqrt(n) N^(1/4)))
     """
     if N < 1 or n < 1 or tau_star < 0:
         raise ValueError("N, n must be positive and tau_star nonnegative")
-    return constants.C * (
+    return C * (
         (math.sqrt(p) + p * tau_star) * math.sqrt(N)
         + (tau_star + k_of_p(p)) * (n + math.sqrt(n) * N**0.25)
     )
@@ -282,7 +254,7 @@ def spectral_gap_check(
     t1: float,
     tau_star: float,
     true_p: float | None = None,
-    constants: ConcentrationConstants = DEFAULT_CONSTANTS,
+    C: float = 1.0,
 ) -> SpectralGapReport:
     """Evaluate the threshold conditions against a known mean matrix M.
 
@@ -299,7 +271,7 @@ def spectral_gap_check(
     rank = int(np.count_nonzero(s > s[0] * 1e-9)) if s.size and s[0] > 0 else 0
     # infer n from the pair count d = n(n-1)/2
     n = int(round((1 + math.sqrt(1 + 8 * obs.d)) / 2))
-    delta = delta_bound(obs.N, n, p, tau_star, constants)
+    delta = delta_bound(obs.N, n, p, tau_star, C)
     if rank == 0:
         return SpectralGapReport(p, noise_norm, delta, 0, 0.0, 0.0, t1, False, False, False)
     sigma_r_m = float(s[rank - 1])

@@ -13,8 +13,7 @@ directions u. Random unit directions alone concentrate on the typical
 directional dispersion, which stays O(1) as n grows, and would miss the
 sqrt(n) growth carried by aggregate statistics; the candidate set therefore
 always includes the normalized all-ones direction, whose projection counts
-pairwise disagreements. Set include_disagreement_direction=False to probe
-random directions only.
+pairwise disagreements.
 """
 
 from __future__ import annotations
@@ -186,13 +185,12 @@ def empirical_tau(
     num_samples: int,
     num_directions: int = 32,
     rng_seed: int = 0,
-    include_disagreement_direction: bool = True,
 ) -> float:
     """Empirical sub-Gaussian dispersion of one component's embedding.
 
     Draws num_samples embedded rankings, centers them, and returns the max
     empirical psi2 norm of the projections onto num_directions random unit
-    directions plus (by default) the normalized all-ones direction.
+    directions plus the normalized all-ones direction.
     """
     if num_samples < 100:
         raise ValueError("num_samples must be at least 100")
@@ -204,11 +202,8 @@ def empirical_tau(
     rng = substream(rng_seed, TAG_DIRECTIONS)
     directions = rng.normal(size=(num_directions, d))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    candidates = [directions]
-    if include_disagreement_direction:
-        candidates.append(np.full((1, d), 1.0 / math.sqrt(d)))
     best = 0.0
-    for u in np.vstack(candidates):
+    for u in np.vstack([directions, np.full((1, d), 1.0 / math.sqrt(d))]):
         proj = xc @ u
         if np.any(proj != 0.0):
             best = max(best, psi2_norm(proj))

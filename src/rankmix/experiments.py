@@ -7,14 +7,17 @@ Three sweeps, each writing one CSV per figure-worth of data:
   (success/failure geometry of the clustering);
 * exp2 — misclassification risk as the observation probability p sweeps
   toward 0, one row per (n, noise, p, trial) cell;
-* exp3 — empirical sub-Gaussian dispersion tau_hat against n per family,
-  one row per (n, noise) cell, averaged over trials.
+* exp3 — empirical sub-Gaussian dispersion tau_hat against n for each
+  family in EXP3_FAMILIES (mnl, then gaussian), one CSV per family and one
+  row per (n, noise) cell, averaged over trials.
 
 Component sizes are Poisson(lambda) draws and utilities are standard normal
-per component, refreshed per trial. Grids default to desk scale; the
-paper_scale flag switches to the full published grids. All outputs are
-byte-deterministic functions of the config (floats are written with repr,
-rows in fixed grid order, files written atomically).
+per component, refreshed per trial. A config file sets the noise grid with
+at most one of sigma= (gaussian), beta= (mnl) or noise= (keeps the family).
+Grids default to desk scale; the paper_scale flag switches to the full
+published grids. All outputs are byte-deterministic functions of the config
+(floats are written with repr, rows in fixed grid order, files written
+atomically).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .seeding import TAG_MASK, TAG_SAMPLE, TAG_SIZES, TAG_TRIAL, TAG_UTILITIES, 
 EXPERIMENTS = ("exp1", "exp2", "exp3")
 EXP2_COLUMNS = ("n", "k", "sigma_or_beta", "p", "trial", "risk", "k_hat", "p_hat", "t1", "t2")
 EXP3_COLUMNS = ("family", "n", "sigma_or_beta", "samples", "trials", "tau_hat")
+EXP3_FAMILIES = (MNL, GAUSSIAN)
 UTILITIES_MODES = ("zero", "normal")
 
 _DESK = {
@@ -86,7 +90,6 @@ class ExperimentConfig:
     p_list: tuple[float, ...] = (1.0,)
     noise_list: tuple[float, ...] = (0.3,)
     family: str = GAUSSIAN
-    families: tuple[str, ...] = (MNL, GAUSSIAN)
     samples: int = 1000
     directions: int = 32
     utilities_mode: str = "zero"
@@ -125,8 +128,8 @@ class ExperimentConfig:
             declared = kv.pop("experiment")
             if declared != experiment:
                 raise ValueError(f"{path}: config declares {declared!r}, running {experiment!r}")
-        if "sigma" in kv and "beta" in kv:
-            raise ValueError(f"{path}: give sigma or beta, not both")
+        if sum(key in kv for key in ("sigma", "beta", "noise")) > 1:
+            raise ValueError(f"{path}: give at most one of sigma, beta and noise")
         changes: dict = {}
         for key, value in kv.items():
             if key == "seed":
@@ -303,7 +306,7 @@ def _exp3_spec(
 
 def _run_exp3(cfg: ExperimentConfig, out: Path) -> list[str]:
     paths = []
-    for fam_idx, family in enumerate(cfg.families):
+    for fam_idx, family in enumerate(EXP3_FAMILIES):
         rows = []
         for n in cfg.n_list:
             for noise_idx, noise in enumerate(cfg.noise_list):

@@ -18,8 +18,9 @@ proportional to phi**r.
 One kernel samples a block of m rows: raw draws (m, .) -- n noise terms per
 row, or n-1 uniforms for mallows -- become item ranks (m, n), then embedded
 rows (m, d); repeated insertion takes one numpy step per item for all rows.
-Rows travel as one columnar ``SampleBatch`` (values over +-1/2 or MISSING,
-labels, unique row ids); masking keeps each coordinate with probability p.
+Rows travel as one columnar ``SampleBatch`` (values over +-1/2 with NaN where
+missing, labels, unique row ids); masking keeps each coordinate with
+probability p.
 
 Randomness is keyed by (seed, row, tag): ``sample_mixture`` draws labels from
 (seed, labels-tag) and row ell from (seed, ell, sample-tag), and ``mask``
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .rankings import Permutation, _indexer, embed_positions
+from .rankings import Permutation, _pairs, embed_positions
 from .rankings import embed  # noqa: F401 -- perfbench/spans.py wraps generators.embed, so it stays bound
 from .seeding import TAG_LABELS, TAG_MASK, TAG_SAMPLE, substream
 
@@ -119,8 +120,8 @@ class MixtureSpec:
         w = np.asarray(weights, dtype=float)
         if w.shape != (len(components),):
             raise ValueError("weights must match the number of components")
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        if not np.isfinite(w).all() or (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must be finite, nonnegative and sum to 1")
         w.setflags(write=False)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "weights", w)
@@ -138,7 +139,7 @@ class MixtureSpec:
 class SampleBatch:
     """N embedded, possibly masked rows with their hidden labels and row ids.
 
-    ``values`` is (N, d) over {-1/2, +1/2, MISSING}. ``row_ids`` are the rows'
+    ``values`` is (N, d) over {-1/2, +1/2, NaN}. ``row_ids`` are the rows'
     unique identities from generation time; mask substreams key on them,
     which is what makes masking commute with reordering rows.
     """
@@ -245,7 +246,7 @@ def sample_mixture(spec: MixtureSpec, N: int, rng_seed: int) -> SampleBatch:
 
 
 def mask(batch: SampleBatch, p: float, rng_seed: int) -> SampleBatch:
-    """Keep each coordinate independently with probability p, else MISSING.
+    """Keep each coordinate independently with probability p, else set it to NaN.
 
     Row r draws from the substream (rng_seed, batch.row_ids[r], mask-tag).
     """
@@ -275,15 +276,15 @@ def exact_pairwise_marginal(spec: ComponentSpec, a: int, b: int) -> float:
 
 def cluster_mean(spec: ComponentSpec) -> np.ndarray:
     """Expected embedded vector: coordinate (a,b) = P(a before b) - 1/2."""
-    idx = _indexer(spec.n)
+    first, second = _pairs(spec.n)
     if spec.family == MNL:
-        diff = (spec.utilities[idx.second] - spec.utilities[idx.first]) / spec.noise
+        diff = (spec.utilities[second] - spec.utilities[first]) / spec.noise
         return 1.0 / (1.0 + np.exp(diff)) - 0.5
     if spec.family == GAUSSIAN:
-        diff = (spec.utilities[idx.first] - spec.utilities[idx.second]) / (spec.noise * math.sqrt(2.0))
+        diff = (spec.utilities[first] - spec.utilities[second]) / (spec.noise * math.sqrt(2.0))
         return ndtr(diff) - 0.5
     pos = spec.center.position
-    return _mallows_before(spec.noise, pos[idx.first], pos[idx.second]) - 0.5
+    return _mallows_before(spec.noise, pos[first], pos[second]) - 0.5
 
 
 def _mallows_before(phi: float, rank_a: np.ndarray, rank_b: np.ndarray) -> np.ndarray:

@@ -1,31 +1,25 @@
 """Permutations, the pairwise-marginal embedding, and Kendall-tau geometry.
 
 A ranking of n items is stored as an order array (``order[r]`` = item at rank
-r, rank 0 most preferred). The embedding maps a ranking to a vector indexed by
-item pairs (a, b), a < b, in lexicographic order, with coordinate +1/2 iff a
-precedes b and -1/2 otherwise. Under this +-1/2 scaling, squared Euclidean
-distance between two embedded rankings counts exactly the pairs on which they
-disagree, i.e. equals their Kendall tau distance. (The same statement under a
-+-1 scaling would carry a factor of 1/4.)
+r, rank 0 most preferred). The embedding maps a ranking to a plain float
+vector indexed by item pairs (a, b), a < b, in lexicographic order, with
+coordinate +1/2 iff a precedes b and -1/2 otherwise. Under this +-1/2
+scaling, squared Euclidean distance between two embedded rankings counts
+exactly the pairs on which they disagree, i.e. equals their Kendall tau
+distance. (The same statement under a +-1 scaling would carry a factor of
+1/4.)
 
-Coordinates may also be MISSING (stored as NaN) once an observation has been
-partially masked; only fully observed vectors have a well-defined distance
-here. All types are immutable after construction and all functions are pure.
+Once rows are masked, NaN marks a missing coordinate; only fully observed
+vectors have a well-defined distance here. Permutations are immutable after
+construction and all functions are pure.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-#: In-band marker for an unobserved coordinate.
-MISSING = np.nan
-
-
-def is_missing(values) -> np.ndarray:
-    """Boolean mask of MISSING entries in an array of embedding coordinates."""
-    return np.isnan(np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -33,15 +27,22 @@ class Permutation:
     """A total ordering of n items with O(1) rank lookup.
 
     order[r] is the item at rank r; position[item] is the rank of an item.
+    Entries must be integer values (integral floats and bools included).
     """
 
     order: np.ndarray
     position: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        order = np.asarray(self.order, dtype=np.int64)
+        order = np.asarray(self.order)
         if order.ndim != 1 or order.size == 0:
             raise ValueError("order must be a non-empty 1-d array of items")
+        if order.dtype.kind not in "biu":
+            # checked before the cast, which would truncate 1.7 and warn on NaN
+            real = order.astype(float)
+            if not np.all(np.isfinite(real) & (real == np.trunc(real))):
+                raise ValueError("order entries must be integer values")
+        order = order.astype(np.int64)
         n = order.size
         seen = np.zeros(n, dtype=bool)
         if order.min(initial=0) < 0 or order.max(initial=0) >= n:
@@ -69,25 +70,6 @@ class Permutation:
         return hash(self.order.tobytes())
 
 
-class PairIndexer:
-    """Lexicographic indexing of item pairs (a, b), a < b, for a fixed n.
-
-    Pair k of the d = n(n-1)/2 pairs is (first[k], second[k]); see
-    pair_index and pair_of for the scalar maps.
-    """
-
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("need at least two items to form a pair")
-        self.n = int(n)
-        self.d = self.n * (self.n - 1) // 2
-        first, second = np.triu_indices(self.n, k=1)  # lexicographic order
-        first.setflags(write=False)
-        second.setflags(write=False)
-        self.first = first
-        self.second = second
-
-
 def pair_index(a: int, b: int, n: int) -> int:
     """Lexicographic rank of the pair (a, b), a < b, among all pairs from n items."""
     if not (0 <= a < b < n):
@@ -109,25 +91,16 @@ def pair_of(k: int, n: int) -> tuple[int, int]:
     return a, a + 1 + k
 
 
-@dataclass(frozen=True)
-class EmbeddedObservation:
-    """A length-d vector over {-1/2, +1/2, MISSING} for d = n(n-1)/2 pairs."""
-
-    values: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        n = int(self.n)
-        d = n * (n - 1) // 2
-        if values.ndim != 1 or values.size != d:
-            raise ValueError(f"expected {d} coordinates for n={n}, got shape {values.shape}")
-        observed = ~np.isnan(values)
-        if not np.all(np.abs(values[observed]) == 0.5):
-            raise ValueError("every observed coordinate must be exactly +1/2 or -1/2")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "n", n)
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays of the d = n(n-1)/2 pairs in lexicographic order:
+    pair k is (first[k], second[k])."""
+    if n < 2:
+        raise ValueError("need at least two items to form a pair")
+    first, second = np.triu_indices(n, k=1)  # lexicographic order
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
 
 
 def embed_positions(position) -> np.ndarray:
@@ -136,13 +109,18 @@ def embed_positions(position) -> np.ndarray:
     Coordinate (a, b) of a row is +1/2 iff a precedes b in that row.
     """
     position = np.asarray(position)
-    idx = _indexer(position.shape[-1])
-    return np.where(position[..., idx.first] < position[..., idx.second], 0.5, -0.5)
+    first, second = _pairs(position.shape[-1])
+    return np.where(position[..., first] < position[..., second], 0.5, -0.5)
 
 
-def embed(perm: Permutation) -> EmbeddedObservation:
-    """Embed a permutation: coordinate (a, b) is +1/2 iff a precedes b."""
-    return EmbeddedObservation(embed_positions(perm.position), perm.n)
+def embed(perm: Permutation) -> np.ndarray:
+    """Embed a permutation as a read-only (d,) float array.
+
+    Coordinate (a, b) is +1/2 iff a precedes b.
+    """
+    values = embed_positions(perm.position)
+    values.setflags(write=False)
+    return values
 
 
 def kendall_tau(p1: Permutation, p2: Permutation) -> int:
@@ -152,25 +130,19 @@ def kendall_tau(p1: Permutation, p2: Permutation) -> int:
     return int(np.count_nonzero(embed_positions(p1.position) != embed_positions(p2.position)))
 
 
-def embedding_distance_sq(e1: EmbeddedObservation, e2: EmbeddedObservation) -> float:
+def embedding_distance_sq(e1, e2) -> float:
     """Squared Euclidean distance between two fully observed embeddings.
 
-    Equals the Kendall tau distance of the underlying permutations exactly:
-    each disagreeing pair contributes (+-1)^2 = 1.
+    Both must be 1-d, of equal length, and every entry exactly +-1/2 (NaN,
+    a missing coordinate, fails). The distance then equals the Kendall tau
+    distance of the underlying permutations exactly: each disagreeing pair
+    contributes (+-1)^2 = 1.
     """
-    if e1.n != e2.n:
-        raise ValueError(f"item counts differ: {e1.n} vs {e2.n}")
-    if np.isnan(e1.values).any() or np.isnan(e2.values).any():
-        raise ValueError("distance is undefined on vectors with MISSING coordinates")
-    diff = e1.values - e2.values
+    e1 = np.asarray(e1, dtype=float)
+    e2 = np.asarray(e2, dtype=float)
+    if e1.ndim != 1 or e1.shape != e2.shape:
+        raise ValueError(f"need two 1-d embeddings of equal length, got shapes {e1.shape}, {e2.shape}")
+    if not (np.all(np.abs(e1) == 0.5) and np.all(np.abs(e2) == 0.5)):
+        raise ValueError("distance needs fully observed embeddings with every entry exactly +1/2 or -1/2")
+    diff = e1 - e2
     return float(np.dot(diff, diff))
-
-
-_INDEXER_CACHE: dict[int, PairIndexer] = {}
-
-
-def _indexer(n: int) -> PairIndexer:
-    indexer = _INDEXER_CACHE.get(n)
-    if indexer is None:
-        indexer = _INDEXER_CACHE[n] = PairIndexer(n)
-    return indexer

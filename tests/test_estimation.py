@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from rankmix.estimation import (
-    ConcentrationConstants,
     ObservationMatrix,
     compute_svd,
     delta_bound,
     estimate_p_hat,
     hsvt,
-    hsvt_projector,
     k_of_p,
     select_threshold,
     spectral_gap_check,
@@ -38,7 +36,7 @@ def _two_perm_matrix(n=10, copies=(30, 20), seed=3):
     rng = np.random.default_rng(seed)
     p1 = Permutation(rng.permutation(n))
     p2 = Permutation(rng.permutation(n))
-    e1, e2 = embed(p1).values, embed(p2).values
+    e1, e2 = embed(p1), embed(p2)
     rows = [e1] * copies[0] + [e2] * copies[1]
     return np.array(rows), e1, e2
 
@@ -70,7 +68,7 @@ def test_observation_matrix_fill_and_validation():
     vals = np.array([[0.5, np.nan], [-0.5, 0.5]])
     obs = ObservationMatrix.from_dense(vals)
     assert obs.N == 2 and obs.d == 2
-    assert obs.values[0, 1] == 0.0  # MISSING filled with exactly 0
+    assert obs.values[0, 1] == 0.0  # a missing (NaN) entry is filled with exactly 0
     assert obs.mask.tolist() == [[True, False], [True, True]]
     with pytest.raises(ValueError):
         ObservationMatrix.from_dense(np.array([[0.4, 0.5]]))
@@ -248,8 +246,7 @@ def test_k_of_p_rejects_out_of_range():
 
 def test_delta_bound_degenerate_point():
     assert delta_bound(N=1, n=1, p=0.0, tau_star=1.0) == pytest.approx(2.0)
-    consts = ConcentrationConstants(C=2.0)
-    assert delta_bound(N=1, n=1, p=0.0, tau_star=1.0, constants=consts) == pytest.approx(4.0)
+    assert delta_bound(N=1, n=1, p=0.0, tau_star=1.0, C=2.0) == pytest.approx(4.0)
 
 
 def test_delta_bound_monotone():
@@ -288,12 +285,13 @@ def test_spectral_gap_check_reports_failure_without_raising():
     report = spectral_gap_check(obs, m, t1=5.0, tau_star=3.0, true_p=1.0)
     assert not report.p_exceeds_threshold
     assert not report.rank_preservation_predicted
+    scaled = spectral_gap_check(obs, m, t1=5.0, tau_star=3.0, true_p=1.0, C=2.0)
+    assert scaled.delta == 2.0 * report.delta
 
 
 def test_noise_norm_within_calibrated_delta():
     # Monte-Carlo: ||Y - pM||_2 <= Delta with C=3 and the generic tau*=sqrt(n-1)
     n, k, sigma, p, N = 30, 2, 0.3, 0.8, 1000
-    consts = ConcentrationConstants(C=3.0)
     tau = np.sqrt(n - 1.0)
     for trial in range(20):
         comps = [
@@ -306,7 +304,7 @@ def test_noise_norm_within_calibrated_delta():
         means = np.array([cluster_mean(c) for c in comps])
         m = means[samples.labels]
         noise = np.linalg.norm(obs.values - p * m, 2)
-        assert noise <= delta_bound(N=N, n=n, p=p, tau_star=tau, constants=consts)
+        assert noise <= delta_bound(N=N, n=n, p=p, tau_star=tau, C=3.0)
 
 
 # --------------------------------------------------- projector invariants
@@ -316,10 +314,12 @@ def test_hsvt_projector_is_contraction():
     y = rng.normal(size=(30, 18))
     svd = compute_svd(y)
     t = float(np.median(svd.singular_values))
-    proj = hsvt_projector(svd, t)
+    est = hsvt(y, t, svd=svd)
+    assert 0 < est.kept_rank < 18
     for _ in range(1000):
         w = rng.normal(size=18)
-        assert np.linalg.norm(proj(w)) <= np.linalg.norm(w) * (1 + 1e-12)
+        projected = est.Vt.T @ (est.Vt @ w)  # onto the kept right singular vectors
+        assert np.linalg.norm(projected) <= np.linalg.norm(w) * (1 + 1e-12)
 
 
 def test_hsvt_rows_equal_projected_rows():
@@ -329,11 +329,10 @@ def test_hsvt_rows_equal_projected_rows():
     svd = compute_svd(y)
     t = float(svd.singular_values[1] * 0.9)
     est = hsvt(y, t, svd=svd)
-    proj = hsvt_projector(svd, t)
     for i in range(y.shape[0]):
         # m_hat is rescaled by 1/p_hat; the row identity is about the
         # unrescaled thresholded matrix
-        assert np.allclose(est.m_hat[i] * est.p_hat, proj(y[i]), atol=1e-10)
+        assert np.allclose(est.m_hat[i] * est.p_hat, est.Vt.T @ (est.Vt @ y[i]), atol=1e-10)
 
 
 def test_rank_preservation_under_perturbation_window():
@@ -352,7 +351,7 @@ def test_rank_preservation_under_perturbation_window():
 
 
 def test_mean_of_filled_matrix_is_p_times_mean():
-    # E[Y] = p*M entrywise once MISSING is replaced by 0
+    # E[Y] = p*M entrywise once missing (NaN) entries are replaced by 0
     spec = ComponentSpec.mnl([0.6, 0.0, -0.6, 0.3], beta=1.0)
     mix = MixtureSpec([spec], [1.0])
     p = 0.5

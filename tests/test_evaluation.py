@@ -26,9 +26,9 @@ from rankmix.evaluation import (
     psi2_norm,
     separation_gamma,
 )
-from rankmix.generators import ComponentSpec, cluster_mean, hypercube_utilities
+from rankmix.generators import ComponentSpec, cluster_mean, hypercube_utilities, sample_embedded_batch
 from rankmix.rankings import Permutation
-from rankmix.seeding import substream
+from rankmix.seeding import TAG_SAMPLE, substream
 
 from oracles import oracle_risk_exhaustive
 
@@ -284,6 +284,15 @@ def test_tau_within_calibrated_sqrt_n_budget():
     for spec in cases:
         tau = empirical_tau(spec, num_samples=500, num_directions=16, rng_seed=3)
         assert tau <= C_CAL * math.sqrt(spec.n - 1), (spec.family, spec.n, tau)
+
+
+def test_tau_always_probes_the_all_ones_direction():
+    # one random direction plus the disagreement count, whose psi2 is a floor
+    spec = ComponentSpec.gaussian(np.zeros(30), 1.0)
+    x = sample_embedded_batch(spec, 300, substream(5, TAG_SAMPLE))
+    xc = x - x.mean(axis=0)
+    floor = psi2_norm(xc @ np.full(x.shape[1], 1.0 / math.sqrt(x.shape[1])))
+    assert empirical_tau(spec, num_samples=300, num_directions=1, rng_seed=5) >= floor
 
 
 def test_tau_validates_arguments():

@@ -10,6 +10,7 @@ from scipy.spatial.distance import pdist
 from rankmix import experiments
 from rankmix.experiments import (
     EXP2_COLUMNS,
+    EXP3_FAMILIES,
     ExperimentConfig,
     _write_csv,
     default_config,
@@ -80,6 +81,19 @@ def test_config_rejects_both_sigma_and_beta(tmp_path):
     path.write_text("sigma=0.3\nbeta=0.7\n")
     with pytest.raises(ValueError):
         ExperimentConfig.from_file(path, "exp2", "out")
+
+
+def test_config_takes_at_most_one_noise_key(tmp_path):
+    # with two of them, the order of lines in the file would pick the family and grid
+    path = tmp_path / "config.txt"
+    for text in ("sigma=0.3\nnoise=0.9\n", "noise=0.9\nbeta=0.3\n", "sigma=0.3\nbeta=0.7\nnoise=0.9\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="at most one"):
+            ExperimentConfig.from_file(path, "exp2", "out")
+    path.write_text("noise=0.9,1.1\n")
+    cfg = ExperimentConfig.from_file(path, "exp2", "out")
+    assert cfg.noise_list == (0.9, 1.1)
+    assert cfg.family == default_config("exp2", "out").family
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -238,8 +252,8 @@ def test_exp3_row_count_and_schema(tmp_path):
         n_list=(10, 20), noise_list=(1.0,), samples=150, directions=4, trials=1, seed=2
     )
     paths = run_experiment(cfg)
-    names = {Path(p).name for p in paths}
-    assert names == {"exp3_mnl.csv", "exp3_gaussian.csv"}
+    assert [Path(p).name for p in paths] == [f"exp3_{family}.csv" for family in EXP3_FAMILIES]
+    assert EXP3_FAMILIES == ("mnl", "gaussian")
     for p in paths:
         header, rows = _read_csv(p)
         assert header == ["family", "n", "sigma_or_beta", "samples", "trials", "tau_hat"]

@@ -197,6 +197,17 @@ def test_mixture_spec_weight_count_mismatch(tmp_path):
         read_mixture_spec(path)
 
 
+def test_mixture_spec_rejects_nan_weights(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        "n=2\nk=2\nweights=nan,nan\n"
+        "component.0.family=mnl\ncomponent.0.beta=1.0\ncomponent.0.utilities=0.0,1.0\n"
+        "component.1.family=mnl\ncomponent.1.beta=1.0\ncomponent.1.utilities=1.0,0.0\n"
+    )
+    with pytest.raises(ValueError, match="finite"):
+        read_mixture_spec(path)
+
+
 def test_mixture_spec_utilities_length_mismatch(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(

@@ -33,7 +33,7 @@ from rankmix.generators import (
     sample_mixture,
 )
 from rankmix.pipeline import run_pipeline
-from rankmix.rankings import Permutation, embed, is_missing
+from rankmix.rankings import Permutation, embed
 from rankmix.seeding import TAG_MASK, TAG_SAMPLE, substream
 
 EULER_GAMMA = 0.5772156649015329
@@ -70,6 +70,10 @@ def test_mixture_spec_validation():
     c3 = ComponentSpec.gaussian([1.0, 0.0, 2.0], sigma=1.0)
     with pytest.raises(ValueError):
         MixtureSpec([c1, c3], [0.5, 0.5])
+    # NaN compares False with every bound, so the sum check alone lets it through
+    for weights in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            MixtureSpec([c1, c2], weights)
     m = MixtureSpec([c1, c2], [0.5, 0.5])
     assert m.k == 2 and m.n == 2
 
@@ -80,7 +84,7 @@ def test_gaussian_noiseless_limit_sorts_utilities():
     spec = ComponentSpec.gaussian([3.0, 2.0, 1.0], sigma=1e-9)
     for seed in range(200):
         (row,) = sample_embedded_batch(spec, 1, seed)
-        assert np.array_equal(row, embed(Permutation([0, 1, 2])).values)
+        assert np.array_equal(row, embed(Permutation([0, 1, 2])))
 
 
 def test_mnl_two_item_marginal_matches_formula():
@@ -117,7 +121,7 @@ def test_tied_scores_prefer_lower_index():
     for family in (ComponentSpec.gaussian, ComponentSpec.mnl):
         for utilities, order in (([1.0, 1.0, 0.5], [0, 1, 2]), ([0.5, 1.0, 1.0], [1, 2, 0])):
             rows = sample_embedded_batch(family(utilities, 1e-300), 50, 0)
-            assert np.array_equal(rows, np.tile(embed(Permutation(order)).values, (50, 1)))
+            assert np.array_equal(rows, np.tile(embed(Permutation(order)), (50, 1)))
 
 
 def test_sample_embedded_batch_deterministic_given_seed():
@@ -355,7 +359,7 @@ def test_mask_observed_fraction_concentrates():
     samples = sample_mixture(spec, 2300, rng_seed=13)
     masked = mask(samples, 0.3, rng_seed=14)
     values = masked.values
-    frac = 1.0 - float(np.mean(is_missing(values)))
+    frac = 1.0 - float(np.mean(np.isnan(values)))
     assert abs(frac - 0.3) <= 0.002
 
 

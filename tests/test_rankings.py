@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,11 @@ from hypothesis import strategies as st
 
 from oracles import lex_pairs, oracle_embed, oracle_inversions, random_order
 from rankmix.rankings import (
-    MISSING,
-    EmbeddedObservation,
     Permutation,
+    _pairs,
     embed,
+    embed_positions,
     embedding_distance_sq,
-    is_missing,
     kendall_tau,
     pair_index,
     pair_of,
@@ -37,16 +37,29 @@ def test_permutation_rejects_non_bijection():
         Permutation([])
 
 
+def test_permutation_rejects_non_integer_entries():
+    # the int64 cast would truncate these to a valid order (or warn on NaN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([0.5, 1.7], [1.0, 0.5], [np.nan, 0.0], [np.inf, 0.0], [0, 1, 2.000001]):
+            with pytest.raises(ValueError, match="integer"):
+                Permutation(bad)
+    assert Permutation([1.0, 0.0]).order.tolist() == [1, 0]
+    assert Permutation(np.array([1.0, 0.0])).order.dtype == np.int64
+    assert Permutation([True, False]).order.tolist() == [1, 0]
+    assert Permutation(np.array([2, 0, 1], dtype=np.uint8)) == Permutation([2, 0, 1])
+
+
 def test_embed_single_pair():
     # n=2, order [0,1]: item 0 precedes item 1
     e = embed(Permutation([0, 1]))
-    assert list(e.values) == [0.5]
+    assert list(e) == [0.5]
 
 
 def test_embed_full_reversal():
     # every pair flips under the full reversal
     e = embed(Permutation([2, 1, 0]))
-    assert list(e.values) == [-0.5, -0.5, -0.5]
+    assert list(e) == [-0.5, -0.5, -0.5]
 
 
 def test_embed_matches_position_oracle():
@@ -56,16 +69,18 @@ def test_embed_matches_position_oracle():
         e = embed(Permutation(order))
         want = oracle_embed(order)
         for (a, b), v in want.items():
-            assert e.values[pair_index(a, b, 4)] == v
+            assert e[pair_index(a, b, 4)] == v
 
 
 def test_embed_values_are_half_integers():
     rng = np.random.default_rng(8)
     for n in (2, 5, 9):
-        e = embed(Permutation(random_order(rng, n)))
-        assert e.n == n
-        assert len(e.values) == n * (n - 1) // 2
-        assert set(np.abs(e.values)) == {0.5}
+        perm = Permutation(random_order(rng, n))
+        e = embed(perm)
+        assert e.shape == (n * (n - 1) // 2,) and e.dtype == np.float64
+        assert set(np.abs(e)) == {0.5}
+        assert not e.flags.writeable
+        assert np.array_equal(e, embed_positions(perm.position))
 
 
 def test_kendall_tau_identity_and_reversal():
@@ -122,21 +137,39 @@ def test_embedding_distance_equals_kendall_tau():
 
 def test_embedding_distance_rejects_missing():
     e1 = embed(Permutation([0, 1, 2]))
-    vals = e1.values.copy()
-    vals[0] = MISSING
-    e2 = EmbeddedObservation(vals, 3)
+    e2 = e1.copy()
+    e2[0] = np.nan  # a missing coordinate
     with pytest.raises(ValueError):
         embedding_distance_sq(e1, e2)
     with pytest.raises(ValueError):
         embedding_distance_sq(e2, e1)
 
 
-def test_embedded_observation_validates_entries():
-    with pytest.raises(ValueError):
-        EmbeddedObservation([0.4, 0.5, -0.5], 3)
-    # MISSING entries are fine
-    e = EmbeddedObservation([MISSING, 0.5, -0.5], 3)
-    assert is_missing(e.values).tolist() == [True, False, False]
+def test_embedding_distance_validates_entries():
+    e = embed(Permutation([0, 1, 2]))
+    for bad in ([0.4, 0.5, -0.5], [0.0, 0.5, -0.5], [1.0, 0.5, -0.5], [np.inf, 0.5, -0.5]):
+        with pytest.raises(ValueError):
+            embedding_distance_sq(e, bad)
+        with pytest.raises(ValueError):
+            embedding_distance_sq(bad, e)
+    for other in (embed(Permutation([0, 1, 2, 3])), [0.5]):  # unequal lengths, even broadcastable
+        with pytest.raises(ValueError, match="equal length"):
+            embedding_distance_sq(e, other)
+    with pytest.raises(ValueError, match="1-d"):
+        embedding_distance_sq(e[None, :], e[None, :])
+    # exact +-1/2 lists are accepted as well as arrays
+    assert embedding_distance_sq([0.5, 0.5, 0.5], [-0.5, 0.5, -0.5]) == 2.0
+
+
+def test_pairs_are_lexicographic_and_read_only():
+    for n in (2, 3, 7):
+        first, second = _pairs(n)
+        assert list(zip(first.tolist(), second.tolist())) == lex_pairs(n)
+        assert not first.flags.writeable and not second.flags.writeable
+        assert _pairs(n)[0] is first  # cached per n
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            _pairs(n)
 
 
 def test_pair_index_lexicographic_n4():
@@ -176,7 +209,7 @@ def test_embedding_injective_exhaustively_small_n():
     for n in (2, 3, 4, 5):
         seen = set()
         for order in itertools.permutations(range(n)):
-            seen.add(tuple(embed(Permutation(order)).values))
+            seen.add(tuple(embed(Permutation(order))))
         assert len(seen) == math.factorial(n)
 
 
@@ -187,9 +220,7 @@ def test_global_sign_flip_preserves_distances():
         e1 = embed(Permutation(random_order(rng, n)))
         e2 = embed(Permutation(random_order(rng, n)))
         d = embedding_distance_sq(e1, e2)
-        f1 = EmbeddedObservation(-e1.values, n)
-        f2 = EmbeddedObservation(-e2.values, n)
-        assert embedding_distance_sq(f1, f2) == d
+        assert embedding_distance_sq(-e1, -e2) == d
 
 
 @settings(max_examples=200, deadline=None)
