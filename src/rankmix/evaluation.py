@@ -1,12 +1,12 @@
 """Scoring clusterings and probing separation / dispersion diagnostics.
 
 Risk is the minimum disagreement fraction over injective matchings between
-predicted and true label sets — exhaustive search for small label counts,
-assignment solver on the agreement matrix otherwise. The separation side
-provides the minimum pairwise distance between component means, closed-form
-lower bounds for it under the two parametric families (natural log
-throughout; the values can be negative and are returned as-is), and an
-empirical sub-Gaussian dispersion estimate tau_hat.
+predicted and true label sets, found by one rectangular assignment
+(scipy's linear_sum_assignment) on the matrix of agreement counts. The
+separation side provides the minimum pairwise distance between component
+means, closed-form lower bounds for it under the two parametric families
+(natural log throughout; the values can be negative and are returned
+as-is), and an empirical sub-Gaussian dispersion estimate tau_hat.
 
 tau_hat maximizes the empirical psi2 norm of <u, X - mean> over candidate
 directions u. Random unit directions alone concentrate on the typical
@@ -18,7 +18,6 @@ pairwise disagreements.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,11 +28,6 @@ from scipy.special import ndtr
 
 from .generators import ComponentSpec, sample_embedded_batch
 from .seeding import TAG_DIRECTIONS, TAG_SAMPLE, substream
-
-# exhaustive matching is exact and lexicographically tie-broken; beyond this
-# many labels the assignment solver takes over
-EXHAUSTIVE_MAX_LABELS = 6
-
 
 @dataclass(frozen=True)
 class EvaluationReport:
@@ -55,7 +49,15 @@ class CorollaryReport:
     comparison_count: float
 
 
-def _agreement_counts(predicted, truth):
+def misclassification_rate(predicted, truth):
+    """Minimum disagreement fraction over injective label matchings.
+
+    Returns (risk, matching) with matching a tuple of (predicted_label,
+    true_label) pairs covering the smaller label set, sorted by predicted
+    label. One rectangular assignment on the agreement counts finds the best
+    matching exactly; where several matchings tie, the solver's deterministic
+    optimum is returned, which need not be the lexicographically smallest.
+    """
     predicted = np.asarray(predicted).ravel()
     truth = np.asarray(truth).ravel()
     if predicted.shape != truth.shape:
@@ -64,65 +66,13 @@ def _agreement_counts(predicted, truth):
         )
     if predicted.size == 0:
         raise ValueError("need at least one label")
-    pred_labels = sorted(set(predicted.tolist()))
-    true_labels = sorted(set(truth.tolist()))
-    agree = {(p, t): 0 for p in pred_labels for t in true_labels}
-    for p, t in zip(predicted.tolist(), truth.tolist()):
-        agree[(p, t)] += 1
-    return predicted.size, pred_labels, true_labels, agree
-
-
-def _best_matching_exhaustive(pred_labels, true_labels, agree):
-    """Max-agreement injective matching; first (lexicographic) winner kept."""
-    best_total = -1
-    best_pairs = None
-    if len(pred_labels) <= len(true_labels):
-        for image in itertools.permutations(true_labels, len(pred_labels)):
-            total = sum(agree[(p, image[i])] for i, p in enumerate(pred_labels))
-            if total > best_total:
-                best_total = total
-                best_pairs = tuple(zip(pred_labels, image))
-    else:
-        for image in itertools.permutations(pred_labels, len(true_labels)):
-            total = sum(agree[(image[i], t)] for i, t in enumerate(true_labels))
-            if total > best_total:
-                best_total = total
-                best_pairs = tuple(sorted(zip(image, true_labels)))
-    return best_total, best_pairs
-
-
-def _best_matching_assignment(pred_labels, true_labels, agree):
-    a = np.array([[agree[(p, t)] for t in true_labels] for p in pred_labels], dtype=float)
-    rows, cols = linear_sum_assignment(-a)
-    total = int(a[rows, cols].sum())
-    pairs = tuple(sorted((pred_labels[i], true_labels[j]) for i, j in zip(rows, cols)))
-    return total, pairs
-
-
-def misclassification_rate(predicted, truth, method: str = "auto"):
-    """Minimum disagreement fraction over injective label matchings.
-
-    Returns (risk, matching) with matching a tuple of (predicted_label,
-    true_label) pairs covering the smaller label set, sorted by predicted
-    label. method picks the solver: "exhaustive" enumerates injections (and
-    breaks ties toward the lexicographically smallest matching),
-    "assignment" solves the agreement matrix, "auto" switches on label
-    count. Both solvers achieve the same risk.
-    """
-    N, pred_labels, true_labels, agree = _agreement_counts(predicted, truth)
-    if method == "auto":
-        method = (
-            "exhaustive"
-            if max(len(pred_labels), len(true_labels)) <= EXHAUSTIVE_MAX_LABELS
-            else "assignment"
-        )
-    if method == "exhaustive":
-        total, pairs = _best_matching_exhaustive(pred_labels, true_labels, agree)
-    elif method == "assignment":
-        total, pairs = _best_matching_assignment(pred_labels, true_labels, agree)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return 1.0 - total / N, pairs
+    pred_labels, p = np.unique(predicted, return_inverse=True)
+    true_labels, t = np.unique(truth, return_inverse=True)
+    agree = np.zeros((pred_labels.size, true_labels.size), dtype=np.int64)
+    np.add.at(agree, (p, t), 1)
+    rows, cols = linear_sum_assignment(agree, maximize=True)
+    pairs = tuple((pred_labels[i].item(), true_labels[j].item()) for i, j in zip(rows, cols))
+    return 1.0 - int(agree[rows, cols].sum()) / predicted.size, pairs
 
 
 def separation_gamma(means) -> float:

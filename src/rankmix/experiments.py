@@ -101,12 +101,12 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not self.n_list or any(n < 2 for n in self.n_list):
             raise ValueError("n grid must be nonempty with every n >= 2")
-        if self.k < 1 or self.lam <= 0:
-            raise ValueError("need k >= 1 and lambda > 0")
+        if self.k < 1 or not 0 < self.lam < math.inf:
+            raise ValueError("need k >= 1 and a finite lambda > 0")
         if not self.p_list or any(not (0.0 < p <= 1.0) for p in self.p_list):
             raise ValueError("p grid values must lie in (0, 1]")
-        if not self.noise_list or any(v <= 0 for v in self.noise_list):
-            raise ValueError("noise grid values must be positive")
+        if not self.noise_list or any(not 0 < v < math.inf for v in self.noise_list):
+            raise ValueError("noise grid values must be finite and positive")
         if self.family not in (GAUSSIAN, MNL):
             raise ValueError(f"family must be gaussian or mnl, got {self.family!r}")
         if self.samples < 100 or self.directions < 1:

@@ -1,12 +1,11 @@
 """Text file formats shared by the CLI tools.
 
-Four small formats, all line-oriented ASCII:
+Three small formats, all line-oriented ASCII:
 
-* rankings: header line ``N n``, then N space-separated order arrays
-  (items listed by rank, 0-indexed);
 * matrix: header line ``N d``, then N rows of entries with the literal
   token NA marking a missing value;
-* labels: one integer per line;
+* labels: one integer per line (integral floats and bools are written as
+  integers; any other value is refused before the file is opened);
 * key=value: one pair per line (mixture specs, experiment configs, and the
   .meta sidecars), ``#`` comments and blank lines ignored.
 
@@ -20,7 +19,7 @@ import math
 import numpy as np
 
 from .generators import GAUSSIAN, MALLOWS, MNL, ComponentSpec, MixtureSpec
-from .rankings import Permutation
+from .rankings import Permutation, _integer_values
 
 _NOISE_KEY = {MNL: "beta", GAUSSIAN: "sigma", MALLOWS: "phi"}
 
@@ -29,43 +28,6 @@ def _fmt(x) -> str:
     if isinstance(x, float) and math.isnan(x):
         return "NA"
     return repr(float(x)) if isinstance(x, float) else str(x)
-
-
-# ---------------------------------------------------------------------------
-# rankings
-# ---------------------------------------------------------------------------
-
-def write_rankings(path, perms) -> None:
-    perms = list(perms)
-    if not perms:
-        raise ValueError("need at least one ranking")
-    n = perms[0].n
-    with open(path, "w") as fh:
-        fh.write(f"{len(perms)} {n}\n")
-        for perm in perms:
-            if perm.n != n:
-                raise ValueError("all rankings must rank the same number of items")
-            fh.write(" ".join(str(int(a)) for a in perm.order) + "\n")
-
-
-def read_rankings(path) -> list[Permutation]:
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty rankings file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: header must be 'N n', got {lines[0]!r}")
-    N, n = int(header[0]), int(header[1])
-    if len(lines) - 1 != N:
-        raise ValueError(f"{path}: header claims {N} rows, file has {len(lines) - 1}")
-    perms = []
-    for i, line in enumerate(lines[1:]):
-        order = [int(tok) for tok in line.split()]
-        if len(order) != n:
-            raise ValueError(f"{path}: row {i} has {len(order)} items, expected {n}")
-        perms.append(Permutation(order))
-    return perms
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +67,10 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_labels(path, labels) -> None:
-    labels = np.asarray(labels)
+    labels = _integer_values(labels, "labels")
     with open(path, "w") as fh:
         for v in labels.tolist():
-            fh.write(f"{int(v)}\n")
+            fh.write(f"{v}\n")
 
 
 def read_labels(path) -> np.ndarray:

@@ -75,8 +75,8 @@ class ComponentSpec:
             u = np.asarray(self.utilities, dtype=float)
             if u.ndim != 1 or u.size < 2 or not np.isfinite(u).all():
                 raise ValueError("utilities must be a finite vector of length >= 2")
-            if not self.noise > 0.0:
-                raise ValueError("noise scale must be strictly positive")
+            if not 0.0 < self.noise < math.inf:
+                raise ValueError("noise scale must be finite and strictly positive")
             u.setflags(write=False)
             object.__setattr__(self, "utilities", u)
 
@@ -265,26 +265,24 @@ def exact_pairwise_marginal(spec: ComponentSpec, a: int, b: int) -> float:
     n = spec.n
     if not (0 <= a < n and 0 <= b < n) or a == b:
         raise ValueError(f"need two distinct items in [0, {n}), got {a}, {b}")
-    if spec.family == MNL:
-        # w_a/(w_a+w_b) in overflow-safe logistic form
-        return float(1.0 / (1.0 + math.exp((spec.utilities[b] - spec.utilities[a]) / spec.noise)))
-    if spec.family == GAUSSIAN:
-        return float(ndtr((spec.utilities[a] - spec.utilities[b]) / (spec.noise * math.sqrt(2.0))))
-    pos = spec.center.position
-    return float(_mallows_before(spec.noise, pos[a], pos[b]))
+    return float(_before(spec, a, b))
 
 
 def cluster_mean(spec: ComponentSpec) -> np.ndarray:
     """Expected embedded vector: coordinate (a,b) = P(a before b) - 1/2."""
-    first, second = _pairs(spec.n)
+    return _before(spec, *_pairs(spec.n)) - 0.5
+
+
+def _before(spec: ComponentSpec, a, b):
+    """P(item a before item b), elementwise over item indices a and b."""
     if spec.family == MNL:
-        diff = (spec.utilities[second] - spec.utilities[first]) / spec.noise
-        return 1.0 / (1.0 + np.exp(diff)) - 0.5
+        # w_a/(w_a+w_b) in logistic form; where exp overflows to inf it is 0.0
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp((spec.utilities[b] - spec.utilities[a]) / spec.noise))
     if spec.family == GAUSSIAN:
-        diff = (spec.utilities[first] - spec.utilities[second]) / (spec.noise * math.sqrt(2.0))
-        return ndtr(diff) - 0.5
+        return ndtr((spec.utilities[a] - spec.utilities[b]) / (spec.noise * math.sqrt(2.0)))
     pos = spec.center.position
-    return _mallows_before(spec.noise, pos[first], pos[second]) - 0.5
+    return _mallows_before(spec.noise, pos[a], pos[b])
 
 
 def _mallows_before(phi: float, rank_a: np.ndarray, rank_b: np.ndarray) -> np.ndarray:

@@ -37,12 +37,7 @@ class Permutation:
         order = np.asarray(self.order)
         if order.ndim != 1 or order.size == 0:
             raise ValueError("order must be a non-empty 1-d array of items")
-        if order.dtype.kind not in "biu":
-            # checked before the cast, which would truncate 1.7 and warn on NaN
-            real = order.astype(float)
-            if not np.all(np.isfinite(real) & (real == np.trunc(real))):
-                raise ValueError("order entries must be integer values")
-        order = order.astype(np.int64)
+        order = _integer_values(order, "order entries")
         n = order.size
         seen = np.zeros(n, dtype=bool)
         if order.min(initial=0) < 0 or order.max(initial=0) >= n:
@@ -68,6 +63,20 @@ class Permutation:
 
     def __hash__(self):
         return hash(self.order.tobytes())
+
+
+def _integer_values(values, what: str) -> np.ndarray:
+    """values as an int64 array; raises unless every entry is an integer value.
+
+    Integral floats and bools pass. The check comes before the cast, which
+    would truncate 1.7 and warn on NaN.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        real = values.astype(float)
+        if not np.all(np.isfinite(real) & (real == np.trunc(real))):
+            raise ValueError(f"{what} must be integer values")
+    return values.astype(np.int64)
 
 
 def pair_index(a: int, b: int, n: int) -> int:

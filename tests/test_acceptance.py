@@ -16,6 +16,7 @@ from oracles import (
     oracle_embed,
     oracle_epsilon_graph_labels,
     oracle_mallows_pmf,
+    oracle_risk_exhaustive,
     random_order,
 )
 from rankmix.clustering import single_linkage
@@ -202,8 +203,8 @@ def test_07_tau_hat_scales_like_sqrt_n(tmp_path):
 
 
 def test_08_assignment_risk_equals_exhaustive_risk():
-    """500 random label instances with up to 5 labels per side: both solvers
-    return exactly the same risk."""
+    """500 random label instances with up to 5 labels per side: the
+    assignment solver returns exactly the exhaustive oracle's risk."""
     rng = np.random.default_rng(81)
     for _ in range(500):
         N = int(rng.integers(2, 60))
@@ -211,9 +212,8 @@ def test_08_assignment_risk_equals_exhaustive_risk():
         k_true = int(rng.integers(1, 6))
         predicted = rng.integers(0, k_pred, size=N)
         truth = rng.integers(0, k_true, size=N)
-        risk_a, _ = misclassification_rate(predicted, truth, method="assignment")
-        risk_e, _ = misclassification_rate(predicted, truth, method="exhaustive")
-        assert risk_a == risk_e
+        risk, _ = misclassification_rate(predicted, truth)
+        assert risk == oracle_risk_exhaustive(predicted, truth)
 
 
 def test_09_observed_fraction_concentrates():

@@ -80,6 +80,20 @@ def test_generate_writes_matrix_and_labels(tmp_path):
     assert set(labels.tolist()) <= {0, 1}
 
 
+def test_generate_rejects_infinite_noise(tmp_path, capsys):
+    spec_path = tmp_path / "mix.txt"
+    spec_path.write_text(
+        "n=2\nk=1\nweights=1.0\n"
+        "component.0.family=gaussian\ncomponent.0.sigma=inf\ncomponent.0.utilities=0.0,1.0\n"
+    )
+    out = tmp_path / "obs.txt"
+    rc = main(["generate", "--spec", str(spec_path), "--num", "5", "--p", "1.0",
+               "--seed", "0", "--out", str(out)])
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_deterministic(tmp_path):
     spec_path = tmp_path / "mix.txt"
     _write_two_component_spec(spec_path)

@@ -75,18 +75,16 @@ def test_length_mismatch_rejected():
 
 
 def test_risk_matches_exhaustive_oracle_random_instances():
+    # 1-7 labels per side, so label sets up to 6 and beyond are both covered
     rng = np.random.default_rng(11)
     for trial in range(500):
         N = int(rng.integers(1, 40))
-        kp = int(rng.integers(1, 6))
-        kt = int(rng.integers(1, 6))
+        kp = int(rng.integers(1, 8))
+        kt = int(rng.integers(1, 8))
         predicted = rng.integers(0, kp, size=N)
         truth = rng.integers(0, kt, size=N)
-        want = oracle_risk_exhaustive(predicted, truth)
-        got_ex, _ = misclassification_rate(predicted, truth, method="exhaustive")
-        got_as, _ = misclassification_rate(predicted, truth, method="assignment")
-        assert got_ex == pytest.approx(want, abs=1e-12), f"trial {trial}"
-        assert got_as == pytest.approx(want, abs=1e-12), f"trial {trial}"
+        got, _ = misclassification_rate(predicted, truth)
+        assert got == pytest.approx(oracle_risk_exhaustive(predicted, truth), abs=1e-12), f"trial {trial}"
 
 
 def test_risk_symmetric_for_equal_label_counts():
@@ -121,23 +119,22 @@ def test_risk_invariant_under_relabeling():
 
 def test_matching_achieves_reported_risk():
     rng = np.random.default_rng(14)
-    for method in ("exhaustive", "assignment"):
-        for _ in range(50):
-            N = int(rng.integers(2, 40))
-            predicted = rng.integers(0, 4, size=N)
-            truth = rng.integers(0, 3, size=N)
-            risk, matching = misclassification_rate(predicted, truth, method=method)
-            pairs = dict(matching)
-            smaller = min(len(set(predicted.tolist())), len(set(truth.tolist())))
-            assert len(pairs) == smaller
-            assert len(set(pairs.values())) == len(pairs)  # injective
-            agree = sum(1 for p, t in zip(predicted, truth) if pairs.get(p) == t)
-            assert risk == pytest.approx(1.0 - agree / N, abs=1e-12)
+    for _ in range(100):
+        N = int(rng.integers(2, 40))
+        predicted = rng.integers(0, 4, size=N)
+        truth = rng.integers(0, 3, size=N)
+        risk, matching = misclassification_rate(predicted, truth)
+        pairs = dict(matching)
+        smaller = min(len(set(predicted.tolist())), len(set(truth.tolist())))
+        assert len(pairs) == smaller
+        assert len(set(pairs.values())) == len(pairs)  # injective
+        agree = sum(1 for p, t in zip(predicted, truth) if pairs.get(p) == t)
+        assert risk == pytest.approx(1.0 - agree / N, abs=1e-12)
 
 
 def test_matching_tie_broken_lexicographically():
-    # all matchings agree on exactly half the rows; lexicographic winner is
-    # the identity pairing
+    # all matchings agree on exactly half the rows; ties go to the assignment
+    # solver's deterministic optimum, which here is the identity pairing
     risk, matching = misclassification_rate([0, 0, 1, 1], [0, 1, 0, 1])
     assert risk == 0.5
     assert matching == ((0, 0), (1, 1))

@@ -110,6 +110,22 @@ def test_config_rejects_bad_grid_values(tmp_path):
         ExperimentConfig.from_file(path, "exp2", "out")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_config_rejects_non_finite_lambda_and_noise(tmp_path, value):
+    # NaN compares False with every bound, so a check like `lam <= 0` lets it
+    # through to numpy's Poisson draw
+    base = default_config("exp2", "out")
+    with pytest.raises(ValueError, match="finite"):
+        base.replace(lam=float(value))
+    with pytest.raises(ValueError, match="finite"):
+        base.replace(noise_list=(0.3, float(value)))
+    path = tmp_path / "config.txt"
+    for text in (f"lambda={value}\n", f"sigma={value}\n", f"beta=0.5,{value}\n", f"noise={value}\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig.from_file(path, "exp2", "out")
+
+
 # ---------------------------------------------------------------------------
 # exp2
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Round-trip and validation tests for the text file formats.
 
-Formats under test: rankings (`N n` header + order rows), matrix (`N d`
-header, NA for missing entries), labels (one integer per line), mixture
-spec and meta files (key=value text).
+Formats under test: matrix (`N d` header, NA for missing entries), labels
+(one integer per line), mixture spec and meta files (key=value text).
 """
 
 import numpy as np
@@ -13,46 +12,13 @@ from rankmix.fileio import (
     read_labels,
     read_matrix,
     read_mixture_spec,
-    read_rankings,
     write_key_values,
     write_labels,
     write_matrix,
     write_mixture_spec,
-    write_rankings,
 )
 from rankmix.generators import ComponentSpec, MixtureSpec
 from rankmix.rankings import Permutation
-
-
-def test_rankings_roundtrip(tmp_path):
-    perms = [Permutation([0, 1, 2, 3]), Permutation([3, 1, 0, 2]), Permutation([2, 3, 1, 0])]
-    path = tmp_path / "rankings.txt"
-    write_rankings(path, perms)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "3 4"
-    assert lines[1] == "0 1 2 3"
-    assert read_rankings(path) == perms
-
-
-def test_rankings_bad_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("3\n0 1 2\n")
-    with pytest.raises(ValueError):
-        read_rankings(path)
-
-
-def test_rankings_row_count_mismatch(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 3\n0 1 2\n")
-    with pytest.raises(ValueError):
-        read_rankings(path)
-
-
-def test_rankings_non_permutation_row(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("1 3\n0 1 1\n")
-    with pytest.raises(ValueError):
-        read_rankings(path)
 
 
 def test_matrix_roundtrip_with_missing(tmp_path):
@@ -97,6 +63,21 @@ def test_labels_roundtrip(tmp_path):
     write_labels(path, labels)
     assert path.read_text() == "0\n1\n1\n0\n2\n"
     assert np.array_equal(read_labels(path), labels)
+
+
+def test_labels_accept_integral_floats(tmp_path):
+    path = tmp_path / "labels.txt"
+    write_labels(path, [0.0, 1.0])
+    assert path.read_text() == "0\n1\n"
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.7, 2.2], [0.0, np.nan], [1.0, np.inf]])
+def test_labels_reject_non_integer_values(tmp_path, labels):
+    # a plain int cast would write [0.5, 1.7, 2.2] as 0 1 2
+    path = tmp_path / "labels.txt"
+    with pytest.raises(ValueError, match="integer"):
+        write_labels(path, labels)
+    assert not path.exists()
 
 
 def test_key_values_roundtrip(tmp_path):
@@ -203,6 +184,17 @@ def test_mixture_spec_rejects_nan_weights(tmp_path):
         "n=2\nk=2\nweights=nan,nan\n"
         "component.0.family=mnl\ncomponent.0.beta=1.0\ncomponent.0.utilities=0.0,1.0\n"
         "component.1.family=mnl\ncomponent.1.beta=1.0\ncomponent.1.utilities=1.0,0.0\n"
+    )
+    with pytest.raises(ValueError, match="finite"):
+        read_mixture_spec(path)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_mixture_spec_rejects_non_finite_noise(tmp_path, value):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        "n=2\nk=1\nweights=1.0\n"
+        f"component.0.family=gaussian\ncomponent.0.sigma={value}\ncomponent.0.utilities=0.0,1.0\n"
     )
     with pytest.raises(ValueError, match="finite"):
         read_mixture_spec(path)

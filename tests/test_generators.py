@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,13 @@ def test_component_spec_validation():
         ComponentSpec.mallows(Permutation([0, 1, 2]), phi=1.0)
     with pytest.raises(ValueError):
         ComponentSpec.mallows(Permutation([0, 1, 2]), phi=0.0)
+    # an infinite scale would sample near-constant rows while cluster_mean
+    # reports the uniform mean 0
+    for noise in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ComponentSpec.mnl([1.0, 0.0], beta=noise)
+        with pytest.raises(ValueError, match="finite"):
+            ComponentSpec.gaussian([1.0, 0.0], sigma=noise)
     spec = ComponentSpec.mnl([1.0, 0.0, -1.0], beta=2.0)
     assert spec.family == MNL and spec.n == 3
     spec = ComponentSpec.mallows(Permutation([2, 0, 1]), phi=0.5)
@@ -207,6 +216,31 @@ def test_mallows_closed_form_matches_enumeration_n7():
             assert abs(exact_pairwise_marginal(spec, a, b) - want) < 1e-12
             assert abs(exact_pairwise_marginal(spec, b, a) - (1.0 - want)) < 1e-12
             assert abs(mu[k] - (want - 0.5)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ComponentSpec.mnl([0.3, -1.2, 2.0, 0.0, 0.7], beta=0.4),
+        ComponentSpec.gaussian([0.3, -1.2, 2.0, 0.0, 0.7], sigma=0.9),
+        ComponentSpec.mallows(Permutation([3, 0, 4, 1, 2]), phi=0.6),
+    ],
+    ids=[MNL, GAUSSIAN, MALLOWS],
+)
+def test_cluster_mean_is_marginal_minus_half_on_every_pair(spec):
+    mu = cluster_mean(spec)
+    for k, (a, b) in enumerate(lex_pairs(spec.n)):
+        assert mu[k] == exact_pairwise_marginal(spec, a, b) - 0.5
+
+
+def test_mnl_marginals_reach_their_limits_without_warning():
+    # exp(1000) overflows to inf; the marginals must still be their limits 0 and 1
+    spec = ComponentSpec.mnl([0.0, 1000.0], beta=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exact_pairwise_marginal(spec, 0, 1) == 0.0
+        assert exact_pairwise_marginal(spec, 1, 0) == 1.0
+        assert cluster_mean(spec).tolist() == [-0.5]
 
 
 def test_run_pipeline_mallows_mixture_n12_reports_gamma():
