@@ -3,7 +3,8 @@
 Three small formats, all line-oriented ASCII:
 
 * matrix: header line ``N d``, then N rows of entries with the literal
-  token NA marking a missing value;
+  token NA marking a missing value (NaN is written as NA; an infinite
+  value is refused before the file is opened, since no reader accepts it);
 * labels: one integer per line (integral floats and bools are written as
   integers; any other value is refused before the file is opened);
 * key=value: one pair per line (mixture specs, experiment configs, and the
@@ -38,6 +39,8 @@ def write_matrix(path, values) -> None:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError("matrix must be 2-d")
+    if np.isinf(values).any():
+        raise ValueError("matrix entries must be finite or NaN (written as NA); got an infinite value")
     with open(path, "w") as fh:
         fh.write(f"{values.shape[0]} {values.shape[1]}\n")
         for row in values:

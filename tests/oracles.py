@@ -200,3 +200,8 @@ def oracle_prim_full_scan(rows):
         best_dist[closer] = dj[closer]
         best_from[closer] = j
     return us, vs, ws
+
+
+def oracle_thin_svd(y):
+    """LAPACK's thin SVD, (U, s, Vt) with s nonincreasing."""
+    return np.linalg.svd(np.asarray(y, dtype=float), full_matrices=False)

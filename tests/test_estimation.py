@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from rankmix.estimation import (
     ObservationMatrix,
@@ -20,6 +25,8 @@ from rankmix.generators import (
     sample_mixture,
 )
 from rankmix.rankings import Permutation, embed
+
+from oracles import oracle_thin_svd
 
 # frozen: 0.8 / (2 ln 9), computed with stdlib math
 K_OF_09 = 0.18204784532536747
@@ -78,14 +85,91 @@ def test_observation_matrix_fill_and_validation():
 
 def test_svd_contract():
     rng = np.random.default_rng(5)
-    y = rng.normal(size=(20, 12))
+    for shape in ((20, 12), (12, 20)):  # tall, then wide (decomposed through Y^T)
+        y = rng.normal(size=shape)
+        svd = compute_svd(y)
+        s = svd.singular_values
+        assert svd.U.shape == (shape[0], 12) and svd.Vt.shape == (12, shape[1])
+        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+        assert np.allclose(svd.U.T @ svd.U, np.eye(12), atol=1e-8)
+        assert np.allclose(svd.Vt @ svd.Vt.T, np.eye(12), atol=1e-8)
+        recon = (svd.U * s) @ svd.Vt
+        assert np.linalg.norm(y - recon) / np.linalg.norm(y) <= 1e-8
+
+
+def _matrix_of_kind(kind, N, d, seed, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "tall":
+        N, d = max(N, d), min(N, d)
+    elif kind == "wide":
+        N, d = min(N, d), max(N, d)
+    elif kind == "square":
+        d = N
+    elif kind == "row":
+        N = 1
+    elif kind == "column":
+        d = 1
+    if kind == "zero":
+        return np.zeros((N, d))
+    if kind == "duplicated":  # rank at most N // 3
+        distinct = rng.normal(size=(max(1, N // 3), d))
+        return scale * distinct[rng.integers(0, len(distinct), size=N)]
+    return scale * rng.normal(size=(N, d))
+
+
+# Error constant of the Gram eigensolve: |sigma_j - sigma_j*| <= C eps sigma_1^2 / sigma_j
+# and ||P_r - P_r*|| <= C eps sigma_1^2 / (sigma_r^2 - sigma_{r+1}^2), with P_r the projector
+# onto the top r right singular vectors; C/eps = 14 and 19 were the largest seen over 3000
+# random matrices like these (integer-valued ones included).
+_GRAM_C = 100 * np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["tall", "wide", "square", "duplicated", "zero", "row", "column"]),
+    st.integers(1, 30),
+    st.integers(1, 30),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_gram_svd_matches_lapack(kind, N, d, seed, scale):
+    y = _matrix_of_kind(kind, N, d, seed, scale)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        svd = compute_svd(y)
+        u, o, vt = oracle_thin_svd(y)
+        s = svd.singular_values
+        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+        assert not (svd.U if y.shape[0] >= y.shape[1] else svd.Vt.T)[:, s == 0].any()
+        assert np.linalg.norm((svd.U * s) @ svd.Vt - y) <= 1e-10 * np.linalg.norm(y)
+        if o[0] == 0:
+            assert not s.any()
+            return
+        lead = o >= 1e-6 * o[0]
+        assert np.all(np.abs(s[lead] - o[lead]) <= 1e-10 * o[lead] + _GRAM_C * o[0] ** 2 / o[lead])
+        for r in range(1, o.size):
+            if not o[r - 1] > (1 + 1e-3) * o[r]:
+                continue
+            tol = 1e-10 + _GRAM_C * o[0] ** 2 / (o[r - 1] ** 2 - o[r] ** 2)
+            if tol > 1e-6:  # a cut inside the noise floor: neither subspace is determined
+                continue
+            assert np.abs(svd.Vt[:r].T @ svd.Vt[:r] - vt[:r].T @ vt[:r]).max() <= tol
+            est = hsvt(y, (s[r - 1] + s[r]) / 2, svd=svd)
+            assert est.kept_rank == r
+            want = pdist(u[:, :r] * o[:r])
+            assert np.allclose(pdist(est.coords), want, rtol=0, atol=tol * np.linalg.norm(y))
+    assert not caught
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_plain_arrays_rejected(bad):
+    y = np.ones((4, 3))
     svd = compute_svd(y)
-    s = svd.singular_values
-    assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-    assert np.allclose(svd.U.T @ svd.U, np.eye(12), atol=1e-8)
-    assert np.allclose(svd.Vt @ svd.Vt.T, np.eye(12), atol=1e-8)
-    recon = (svd.U * s) @ svd.Vt
-    assert np.linalg.norm(y - recon) / np.linalg.norm(y) <= 1e-8
+    y[2, 1] = bad
+    with pytest.raises(ValueError, match="4x3 matrix must hold only finite"):
+        compute_svd(y)
+    with pytest.raises(ValueError, match="4x3 matrix must hold only finite"):
+        hsvt(y, 0.5, svd=svd)
 
 
 # -------------------------------------------------------------------- hsvt

@@ -57,6 +57,15 @@ def test_matrix_rejects_non_finite_tokens(tmp_path, token):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_matrix_writer_refuses_infinite_values(tmp_path, bad):
+    # read_matrix rejects an inf row, so writing one would leave an unreadable file
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match="finite"):
+        write_matrix(path, [[1.0, bad], [np.nan, 0.5]])
+    assert not path.exists()
+
+
 def test_labels_roundtrip(tmp_path):
     labels = np.array([0, 1, 1, 0, 2])
     path = tmp_path / "labels.txt"
