@@ -34,6 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .rankings import _integer_values
+
 
 @dataclass(frozen=True)
 class ObservationMatrix:
@@ -199,18 +201,19 @@ def hsvt(y, threshold: float, svd: SvdResult | None = None, p_hat: float | None 
 def select_threshold(svd: SvdResult, target_rank: int | None = None) -> float:
     """Pick t1 from the spectrum.
 
-    With a target rank r the threshold is the midpoint (sigma_r +
-    sigma_{r+1})/2, taking sigma beyond the spectrum as 0, so exactly r
-    components survive. Without one, r is chosen as the largest relative gap
-    sigma_j/sigma_{j+1} over j <= ceil(sqrt(min(N, d))) -- the cap keeps
-    noise-floor ratios out of the search -- and the same midpoint applies.
+    With a target rank r (an integer value; 2.7, NaN and inf raise) the
+    threshold is the midpoint (sigma_r + sigma_{r+1})/2, taking sigma beyond
+    the spectrum as 0, so exactly r components survive. Without one, r is
+    chosen as the largest relative gap sigma_j/sigma_{j+1} over
+    j <= ceil(sqrt(min(N, d))) -- the cap keeps noise-floor ratios out of the
+    search -- and the same midpoint applies.
     """
     s = svd.singular_values
     m = s.size
     if m < 2:
         raise ValueError("need at least 2 singular values to place a threshold")
     if target_rank is not None:
-        r = int(target_rank)
+        r = int(_integer_values(target_rank, "target_rank"))
         if not (1 <= r <= m):
             raise ValueError(f"target_rank must lie in [1, {m}], got {target_rank}")
     else:

@@ -113,6 +113,9 @@ class ExperimentConfig:
             raise ValueError("need samples >= 100 and directions >= 1")
         if self.utilities_mode not in UTILITIES_MODES:
             raise ValueError(f"utilities mode must be one of {UTILITIES_MODES}")
+        if self.experiment == "exp1" and (len(self.p_list) != 1 or self.trials != 1):
+            # exp1 dumps one sigma-block per noise level from trial 0 at p_list[0]
+            raise ValueError("exp1 takes exactly one p and one trial")
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
@@ -202,9 +205,7 @@ def _write_csv(path: Path, header, rows) -> str:
 
 def _component(cfg: ExperimentConfig, n: int, noise: float, trial: int, index: int) -> ComponentSpec:
     u = normal_utilities(n, substream(cfg.seed, TAG_UTILITIES, trial, n, index))
-    if cfg.family == GAUSSIAN:
-        return ComponentSpec.gaussian(u, noise)
-    return ComponentSpec.mnl(u, noise)
+    return ComponentSpec(cfg.family, float(noise), utilities=u)
 
 
 def _poisson_samples(cfg: ExperimentConfig, n: int, noise_idx: int, trial: int) -> SampleBatch:
@@ -301,7 +302,7 @@ def _exp3_spec(
         u = np.zeros(n)
     else:
         u = normal_utilities(n, substream(cfg.seed, TAG_UTILITIES, fam_idx, n, noise_idx, trial))
-    return ComponentSpec.gaussian(u, noise) if family == GAUSSIAN else ComponentSpec.mnl(u, noise)
+    return ComponentSpec(family, float(noise), utilities=u)
 
 
 def _run_exp3(cfg: ExperimentConfig, out: Path) -> list[str]:

@@ -164,10 +164,7 @@ def read_mixture_spec(path) -> MixtureSpec:
                 raise ValueError(
                     f"{path}: component {i} utilities has {len(utilities)} entries, expected {n}"
                 )
-            if family == MNL:
-                components.append(ComponentSpec.mnl(utilities, noise))
-            else:
-                components.append(ComponentSpec.gaussian(utilities, noise))
+            components.append(ComponentSpec(family, noise, utilities=utilities))
     if kv:
         raise ValueError(f"{path}: unrecognized keys {sorted(kv)}")
     return MixtureSpec(components=tuple(components), weights=weights)

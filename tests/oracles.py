@@ -202,6 +202,19 @@ def oracle_prim_full_scan(rows):
     return us, vs, ws
 
 
+def oracle_mst_cut_labels(us, vs, keep):
+    """Labels of the forest left by the Prim tree (us, vs) after dropping each
+    edge whose keep flag is False, by order of first row appearance.
+
+    Prim order labels in one pass: u already has its component when v joins.
+    """
+    comp = [0] * (len(us) + 1)
+    for k, (u, v, kept) in enumerate(zip(us.tolist(), vs.tolist(), keep.tolist())):
+        comp[v] = comp[u] if kept else k + 1
+    first = {}
+    return [first.setdefault(c, len(first)) for c in comp]
+
+
 def oracle_thin_svd(y):
     """LAPACK's thin SVD, (U, s, Vt) with s nonincreasing."""
     return np.linalg.svd(np.asarray(y, dtype=float), full_matrices=False)

@@ -18,7 +18,7 @@ from rankmix.fileio import write_matrix
 from rankmix.generators import ComponentSpec, MixtureSpec, normal_utilities
 from rankmix.pipeline import run_pipeline
 
-from oracles import oracle_epsilon_graph_labels, oracle_prim_full_scan
+from oracles import oracle_epsilon_graph_labels, oracle_mst_cut_labels, oracle_prim_full_scan
 
 
 def _two_blobs(rng, n_per, dim, spread, gap):
@@ -96,6 +96,19 @@ def test_mst_cut_equals_epsilon_graph_on_random_instances():
         assert list(res.labels) == oracle_epsilon_graph_labels(rows, t2), (
             f"trial {trial}: N={N} t2={t2}"
         )
+
+
+def test_edges_of_length_exactly_t2_are_kept():
+    # the cut is <= t2, not < t2; integer rows make every distance exact
+    rows = np.array([[0.0], [1.0], [3.0], [4.0], [7.0]])
+    assert single_linkage(rows, 1.0).labels.tolist() == [0, 0, 1, 1, 2]
+    assert single_linkage(rows, 2.0).labels.tolist() == [0, 0, 0, 0, 1]
+    assert single_linkage(rows, 3.0).labels.tolist() == [0, 0, 0, 0, 0]
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        rows = rng.integers(0, 4, size=(int(rng.integers(2, 30)), 3)).astype(float)
+        for t2 in np.unique(single_linkage(rows, 0.0).mst_edge_weights):
+            assert single_linkage(rows, t2).labels.tolist() == oracle_epsilon_graph_labels(rows, t2)
 
 
 def test_permuting_rows_permutes_labels():
@@ -254,27 +267,21 @@ def _rows_of_kind(kind, N, d, seed):
     st.integers(2, 40),
     st.integers(1, 30),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([8, 200, 4096, 1 << 20]),
 )
-def test_compacted_prim_matches_full_scan_bit_for_bit(kind, N, d, seed, chunk_bytes):
-    # small chunk sizes split each distance scan across many buffer fills
+def test_single_linkage_matches_full_scan_prim(kind, N, d, seed):
+    # scipy's pdist sums in another order than the oracle, so weights and t2
+    # agree to rounding, not bit for bit; the partitions are identical
     rows = _rows_of_kind(kind, N, d, seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clustering, "_CHUNK_BYTES", chunk_bytes)
-        us, vs, ws = clustering._mst_edges(rows)
-        fast = single_linkage(rows)
-        mp.setattr(clustering, "_mst_edges", oracle_prim_full_scan)
-        ref = single_linkage(rows)
-    # a spanning tree grown from row 0, each edge weighted by its own distance
-    assert sorted(vs.tolist()) == list(range(1, len(rows)))
-    joined = {0}
-    for u, v in zip(us.tolist(), vs.tolist()):
-        assert u in joined
-        joined.add(v)
-    assert np.array_equal(ws, np.sqrt(((rows[vs] - rows[us]) ** 2).sum(axis=1)))
-    assert np.array_equal(fast.mst_edge_weights, ref.mst_edge_weights)
-    assert fast.threshold_used == ref.threshold_used
-    assert np.array_equal(fast.labels, ref.labels)
+    res = single_linkage(rows)
+    us, vs, ws = oracle_prim_full_scan(rows)
+    ref_w = np.sort(ws)
+    ref_t2 = clustering._gap_threshold(ref_w)
+    ref_labels = oracle_mst_cut_labels(us, vs, ws <= ref_t2)
+    assert np.allclose(res.mst_edge_weights, ref_w, rtol=1e-14, atol=0.0)
+    assert res.threshold_used == pytest.approx(ref_t2, rel=1e-14, abs=0.0)
+    assert list(res.labels) == ref_labels
+    assert res.k_hat == max(ref_labels) + 1
+    assert list(res.labels) == oracle_epsilon_graph_labels(rows, res.threshold_used)
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,32 +322,40 @@ def test_non_finite_rows_rejected(bad, t2):
 
 
 def _count_mst_builds(monkeypatch):
-    calls = []
-    original = clustering._mst_edges
+    """Patch clustering's scipy calls: one entry in trees per linkage call,
+    and the shape of the rows each pdist call receives."""
+    trees, shapes = [], []
+    pdist, linkage = clustering.pdist, clustering.linkage
 
-    def counted(rows):
-        calls.append(rows.shape)
-        return original(rows)
+    def counted_pdist(rows):
+        shapes.append(rows.shape)
+        return pdist(rows)
 
-    monkeypatch.setattr(clustering, "_mst_edges", counted)
-    return calls
+    def counted_linkage(*args, **kwargs):
+        trees.append(kwargs.get("method"))
+        return linkage(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "pdist", counted_pdist)
+    monkeypatch.setattr(clustering, "linkage", counted_linkage)
+    return trees, shapes
 
 
 def test_run_pipeline_builds_one_mst(monkeypatch):
     # the one tree is built on the N x kept_rank factors; m_hat is never built
-    calls = _count_mst_builds(monkeypatch)
+    trees, shapes = _count_mst_builds(monkeypatch)
     spec = MixtureSpec(
         [ComponentSpec.gaussian(normal_utilities(8, c), 0.3) for c in range(2)], [0.5, 0.5]
     )
     result = run_pipeline(spec, N=40, p=0.8, seed=0)
-    assert calls == [(40, result.estimate.kept_rank)]
+    assert trees == ["single"]
+    assert shapes == [(40, result.estimate.kept_rank)]
     assert "m_hat" not in vars(result.estimate)
 
 
 def test_cli_cluster_auto_builds_one_mst(monkeypatch, tmp_path):
     rows, _ = _two_blobs(np.random.default_rng(10), 6, 3, spread=0.2, gap=8.0)
     write_matrix(tmp_path / "m.txt", rows)
-    calls = _count_mst_builds(monkeypatch)
+    trees, _ = _count_mst_builds(monkeypatch)
     argv = ["cluster", "--in", str(tmp_path / "m.txt"), "--auto", "--out", str(tmp_path / "l.txt")]
     assert cli.main(argv) == 0
-    assert len(calls) == 1
+    assert trees == ["single"]

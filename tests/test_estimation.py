@@ -289,6 +289,15 @@ def test_select_threshold_errors():
         select_threshold(compute_svd(y2), target_rank=0)
 
 
+@pytest.mark.parametrize("bad", [2.7, np.nan, np.inf, -np.inf])
+def test_select_threshold_rejects_non_integer_target_rank(bad):
+    # int() would truncate 2.7 to rank 2 and fail on NaN with another message
+    svd = compute_svd(np.diag([5.0, 3.0, 1.0]))
+    with pytest.raises(ValueError, match="integer"):
+        select_threshold(svd, target_rank=bad)
+    assert select_threshold(svd, target_rank=2.0) == select_threshold(svd, target_rank=2)
+
+
 def test_select_threshold_keeps_exactly_target_rank():
     rng = np.random.default_rng(8)
     y = rng.normal(size=(15, 10))

@@ -110,6 +110,21 @@ def test_config_rejects_bad_grid_values(tmp_path):
         ExperimentConfig.from_file(path, "exp2", "out")
 
 
+def test_exp1_config_takes_one_p_and_one_trial(tmp_path):
+    # exp1 writes one sigma-block per noise level, from one trial at one p
+    base = default_config("exp1", "out")
+    for changes in (dict(p_list=(1.0, 0.5)), dict(trials=3)):
+        with pytest.raises(ValueError, match="one p and one trial"):
+            base.replace(**changes)
+    path = tmp_path / "config.txt"
+    for text in ("p=1.0,0.5\n", "trials=3\n", "p=1.0,0.5\ntrials=3\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="one p and one trial"):
+            ExperimentConfig.from_file(path, "exp1", "out")
+    path.write_text("p=0.5\ntrials=1\n")
+    assert ExperimentConfig.from_file(path, "exp1", "out").p_list == (0.5,)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_config_rejects_non_finite_lambda_and_noise(tmp_path, value):
     # NaN compares False with every bound, so a check like `lam <= 0` lets it

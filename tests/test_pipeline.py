@@ -83,6 +83,15 @@ def test_rank_hint_controls_kept_rank():
     assert result.evaluation.risk == 0.0
 
 
+def test_fractional_rank_hint_rejected():
+    # a rank hint of 2.7 must not quietly keep rank 2; 4.0 keeps rank 4
+    spec = _gaussian_mixture(4, 10, 0.2, seed=3)
+    with pytest.raises(PipelineError, match="select_t1: target_rank must be integer") as info:
+        run_pipeline(spec, N=40, p=1.0, seed=7, rank_hint=2.7)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert run_pipeline(spec, N=40, p=1.0, seed=7, rank_hint=4.0).estimate.kept_rank == 4
+
+
 def test_diagnostics_fields():
     spec = _gaussian_mixture(2, 10, 0.3, 9)
     result = run_pipeline(spec, N=100, p=0.8, seed=9)
