@@ -34,7 +34,7 @@ TOP_SINGULAR_VALUES = 20
 def _cmd_generate(args) -> int:
     spec = read_mixture_spec(args.spec)
     batch = mask(sample_mixture(spec, args.num, args.seed), args.p, args.seed)
-    write_matrix(args.out, batch.values)
+    write_matrix(args.out, np.where(batch.values == 0.0, np.nan, batch.values))  # 0 in memory, NA in files
     write_labels(args.out + ".labels", batch.labels)
     return 0
 

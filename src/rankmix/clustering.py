@@ -90,7 +90,10 @@ def single_linkage(rows, t2: float | None = None) -> ClusteringResult:
         return ClusteringResult(1, np.zeros(1, dtype=int), float(t2), np.empty(0))
 
     # condensed distances: linkage would warn on a square, symmetric block of rows
-    tree = linkage(pdist(rows), method="single")
+    distances = pdist(rows)
+    if not np.isfinite(distances).all():
+        raise ValueError("pairwise distances of these finite rows overflow float64 (rows too large in scale)")
+    tree = linkage(distances, method="single")
     w = tree[:, 2]  # merge heights are the sorted MST weights
     if t2 is None:
         t2 = _gap_threshold(w)

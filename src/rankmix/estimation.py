@@ -1,13 +1,13 @@
 """Stacking masked observations and denoising by singular value thresholding.
 
-The observation matrix Y holds N embedded rows with missing (NaN) entries
-replaced by exactly 0. Denoising takes the SVD of Y, drops every component
-whose singular value is at or below a threshold t1 (the kept set uses the
-strict inequality sigma_j > t1), and rescales by the estimated observation
-probability:
+The observation matrix Y holds N embedded rows, +-1/2 where observed and
+exactly 0 where missing (the USVT convention; NaN marks missing only in
+files). Denoising takes the SVD of Y, drops every component whose singular
+value is at or below a threshold t1 (the kept set uses the strict inequality
+sigma_j > t1), and rescales by the estimated observation probability:
 
     m_hat = (1/p_hat) * sum_{sigma_j > t1} sigma_j u_j v_j^T,
-    p_hat = max(#observed, 1) / (N*d).
+    p_hat = max(#nonzero, 1) / (N*d).
 
 The SVD comes from one symmetric eigendecomposition (np.linalg.eigh) of the
 min(N, d)-square Gram matrix of Y, which gives every singular value, not
@@ -34,45 +34,37 @@ from functools import cached_property
 
 import numpy as np
 
-from .rankings import _integer_values
+from .rankings import _check_masked_embedding, _integer_values
 
 
 @dataclass(frozen=True)
 class ObservationMatrix:
-    """N stacked embedded observations with mask metadata.
-
-    values holds 0 at every masked-out cell and +-1/2 at observed cells;
-    mask is True where observed.
-    """
+    """N stacked embedded observations: values is +-1/2 at every observed
+    cell and exactly 0 at every missing one, so observed == (values != 0)."""
 
     values: np.ndarray
-    mask: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
-        if values.ndim != 2 or values.shape != mask.shape:
-            raise ValueError("values and mask must be 2-d arrays of equal shape")
-        if not np.all(values[~mask] == 0.0):
-            raise ValueError("masked-out cells must hold exactly 0")
-        if not np.all(np.abs(values[mask]) == 0.5):
-            raise ValueError("observed cells must hold exactly +1/2 or -1/2")
+        if values.ndim != 2:
+            raise ValueError(f"values must be a 2-d array, got shape {values.shape}")
+        _check_masked_embedding(values)
         values.setflags(write=False)
-        mask.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_dense(cls, values) -> "ObservationMatrix":
-        """Build from an array in which NaN marks a missing entry."""
+        """Build from a matrix read from a file, in which NaN (the NA token)
+        marks a missing entry; 0 is not an entry there and raises."""
         values = np.asarray(values, dtype=float)
-        mask = ~np.isnan(values)
-        return cls(np.where(mask, values, 0.0), mask)
+        if (values == 0.0).any():
+            raise ValueError("a dense observation matrix marks missing entries with NaN, not 0")
+        return cls(np.where(np.isnan(values), 0.0, values))
 
     @classmethod
     def from_samples(cls, batch) -> "ObservationMatrix":
-        """Build from a SampleBatch, whose values mark missing entries with NaN."""
-        return cls.from_dense(batch.values)
+        """Wrap a SampleBatch's values as they are (0 already marks missing)."""
+        return cls(batch.values)
 
     @property
     def N(self) -> int:
@@ -131,23 +123,21 @@ class HsvtEstimate:
         return self.left @ self.Vt / self.p_hat
 
 
-def _as_matrix(y) -> tuple[np.ndarray, np.ndarray | None]:
+def _as_matrix(y) -> np.ndarray:
     """Accept an ObservationMatrix or a plain fully observed array."""
     if isinstance(y, ObservationMatrix):
-        return y.values, y.mask
+        return y.values
     arr = np.asarray(y, dtype=float)
     if arr.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if not np.isfinite(arr).all():
         raise ValueError(f"a {arr.shape[0]}x{arr.shape[1]} matrix must hold only finite values")
-    return arr, None
+    return arr
 
 
 def estimate_p_hat(obs: ObservationMatrix) -> float:
-    """Observed fraction, floored at 1/(N*d) so rescaling never divides by 0."""
-    total = obs.values.size
-    observed = int(np.count_nonzero(obs.mask))
-    return max(observed, 1) / total
+    """Observed (nonzero) fraction, floored at 1/(N*d) so rescaling never divides by 0."""
+    return max(int(np.count_nonzero(obs.values)), 1) / obs.values.size
 
 
 def compute_svd(y) -> SvdResult:
@@ -158,7 +148,7 @@ def compute_svd(y) -> SvdResult:
     vectors of a and sigma_j^2; the other side is a v_j / sigma_j, and a zero
     column where sigma_j = 0. See SvdResult for the accuracy this gives.
     """
-    values, _ = _as_matrix(y)
+    values = _as_matrix(y)
     wide = values.shape[0] < values.shape[1]
     a = values.T if wide else values
     eigenvalues, v = np.linalg.eigh(a.T @ a)
@@ -180,12 +170,9 @@ def hsvt(y, threshold: float, svd: SvdResult | None = None, p_hat: float | None 
     """
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    values, mask_arr = _as_matrix(y)
+    values = _as_matrix(y)
     if p_hat is None:
-        if mask_arr is None:
-            p_hat = 1.0
-        else:
-            p_hat = estimate_p_hat(y)
+        p_hat = estimate_p_hat(y) if isinstance(y, ObservationMatrix) else 1.0
     if not 0.0 < p_hat <= 1.0:
         raise ValueError(f"p_hat must lie in (0, 1], got {p_hat}")
     if svd is None:

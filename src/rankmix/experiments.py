@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .estimation import ObservationMatrix
 from .evaluation import empirical_tau
 from .generators import (
     GAUSSIAN,

@@ -18,9 +18,9 @@ proportional to phi**r.
 One kernel samples a block of m rows: raw draws (m, .) -- n noise terms per
 row, or n-1 uniforms for mallows -- become item ranks (m, n), then embedded
 rows (m, d); repeated insertion takes one numpy step per item for all rows.
-Rows travel as one columnar ``SampleBatch`` (values over +-1/2 with NaN where
-missing, labels, unique row ids); masking keeps each coordinate with
-probability p.
+Rows travel as one columnar ``SampleBatch`` (values over +-1/2 with 0 where
+missing -- the one in-memory marker; files write ``NA`` -- labels, unique row
+ids); masking keeps each coordinate with probability p.
 
 Randomness is keyed by (seed, row, tag): ``sample_mixture`` draws labels from
 (seed, labels-tag) and row ell from (seed, ell, sample-tag), and ``mask``
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .rankings import Permutation, _pairs, embed_positions
+from .rankings import Permutation, _check_masked_embedding, _pairs, embed_positions
 from .rankings import embed  # noqa: F401 -- perfbench/spans.py wraps generators.embed, so it stays bound
 from .seeding import TAG_LABELS, TAG_MASK, TAG_SAMPLE, substream
 
@@ -139,7 +139,8 @@ class MixtureSpec:
 class SampleBatch:
     """N embedded, possibly masked rows with their hidden labels and row ids.
 
-    ``values`` is (N, d) over {-1/2, +1/2, NaN}. ``row_ids`` are the rows'
+    ``values`` is (N, d) over {-1/2, +1/2, 0}, 0 marking a missing
+    coordinate; NaN and inf are refused. ``row_ids`` are the rows'
     unique identities from generation time; mask substreams key on them,
     which is what makes masking commute with reordering rows.
     """
@@ -157,8 +158,7 @@ class SampleBatch:
                 f"need (N, d) values with N labels and N row ids, got shapes "
                 f"{values.shape}, {labels.shape}, {row_ids.shape}"
             )
-        if not np.all((np.abs(values) == 0.5) | np.isnan(values)):
-            raise ValueError("every observed value must be exactly +1/2 or -1/2")
+        _check_masked_embedding(values)
         if np.unique(row_ids).size != row_ids.size:
             raise ValueError("row ids must be unique")
         for name, array in (("values", values), ("labels", labels), ("row_ids", row_ids)):
@@ -246,7 +246,7 @@ def sample_mixture(spec: MixtureSpec, N: int, rng_seed: int) -> SampleBatch:
 
 
 def mask(batch: SampleBatch, p: float, rng_seed: int) -> SampleBatch:
-    """Keep each coordinate independently with probability p, else set it to NaN.
+    """Keep each coordinate independently with probability p, else set it to 0.
 
     Row r draws from the substream (rng_seed, batch.row_ids[r], mask-tag).
     """
@@ -255,7 +255,7 @@ def mask(batch: SampleBatch, p: float, rng_seed: int) -> SampleBatch:
     uniforms = np.empty(batch.values.shape)
     for r, row_id in enumerate(batch.row_ids):
         substream(rng_seed, row_id, TAG_MASK).random(out=uniforms[r])
-    return SampleBatch(np.where(uniforms < p, batch.values, np.nan), batch.labels, batch.row_ids)
+    return SampleBatch(np.where(uniforms < p, batch.values, 0.0), batch.labels, batch.row_ids)
 
 
 # ------------------------------------------------------------ exact oracles

@@ -1,9 +1,9 @@
 """End-to-end run: sample a mixture, mask, denoise, cluster, score.
 
-The stages are fixed: stack the masked embeddings, estimate the observation
-probability, take the SVD, choose the singular value threshold (from a rank
-hint when given, by spectral gap otherwise), rescale-and-threshold into
-rank-r factors, cluster the N x r coordinates (one MST whose weight gap
+The stages are fixed: stack the masked embeddings (0 where missing), estimate
+the observation probability, take the SVD, choose the singular value
+threshold (from a rank hint when given, by spectral gap otherwise),
+rescale-and-threshold into rank-r factors, cluster the N x r coordinates (one MST whose weight gap
 chooses the distance threshold and whose cut gives the single-linkage labels;
 their distances are those of the dense estimate's rows, which is never
 built), then score the labels against the hidden truth.

@@ -9,7 +9,7 @@ exactly the pairs on which they disagree, i.e. equals their Kendall tau
 distance. (The same statement under a +-1 scaling would carry a factor of
 1/4.)
 
-Once rows are masked, NaN marks a missing coordinate; only fully observed
+Once rows are masked, 0 marks a missing coordinate; only fully observed
 vectors have a well-defined distance here. Permutations are immutable after
 construction and all functions are pure.
 """
@@ -122,6 +122,12 @@ def embed_positions(position) -> np.ndarray:
     return np.where(position[..., first] < position[..., second], 0.5, -0.5)
 
 
+def _check_masked_embedding(values: np.ndarray) -> None:
+    """Raise unless every entry is exactly +1/2 or -1/2 (observed) or 0 (missing)."""
+    if not np.all((np.abs(values) == 0.5) | (values == 0.0)):
+        raise ValueError("every entry must be exactly +1/2 or -1/2, or 0 where missing")
+
+
 def embed(perm: Permutation) -> np.ndarray:
     """Embed a permutation as a read-only (d,) float array.
 
@@ -142,8 +148,8 @@ def kendall_tau(p1: Permutation, p2: Permutation) -> int:
 def embedding_distance_sq(e1, e2) -> float:
     """Squared Euclidean distance between two fully observed embeddings.
 
-    Both must be 1-d, of equal length, and every entry exactly +-1/2 (NaN,
-    a missing coordinate, fails). The distance then equals the Kendall tau
+    Both must be 1-d, of equal length, and every entry exactly +-1/2 (0, a
+    missing coordinate, fails, as do NaN and inf). The distance then equals the Kendall tau
     distance of the underlying permutations exactly: each disagreeing pair
     contributes (+-1)^2 = 1.
     """

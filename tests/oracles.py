@@ -164,12 +164,12 @@ def oracle_score_order(scores):
 
 def oracle_mask_rows(values, row_ids, p, seed, tag):
     """Row by row: row r keeps a coordinate iff the uniform drawn for it from the
-    substream (seed, row_ids[r], tag) is below p, and holds NaN otherwise."""
+    substream (seed, row_ids[r], tag) is below p, and holds 0 otherwise."""
     out = []
     for row, row_id in zip(values, row_ids):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(row_id), int(tag)]))
         keep = rng.random(len(row)) < p
-        out.append(np.where(keep, row, np.nan))
+        out.append(np.where(keep, row, 0.0))
     return np.array(out).reshape(np.shape(values))
 
 

@@ -222,7 +222,7 @@ def test_09_observed_fraction_concentrates():
     hits = 0
     for trial in range(100):
         keep = substream(91, trial).random((N, d)) < p
-        obs = ObservationMatrix(np.where(keep, 0.5, 0.0), keep)
+        obs = ObservationMatrix(np.where(keep, 0.5, 0.0))
         if abs(estimate_p_hat(obs) - p) <= 0.003:
             hits += 1
     assert hits >= 99, f"{hits}/100 trials within 0.003"

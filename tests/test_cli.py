@@ -4,13 +4,19 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankmix
+from rankmix import cli
 from rankmix.cli import main
+from rankmix.estimation import ObservationMatrix, estimate_p_hat
 from rankmix.fileio import (
     read_key_values,
     read_labels,
@@ -18,7 +24,7 @@ from rankmix.fileio import (
     write_labels,
     write_mixture_spec,
 )
-from rankmix.generators import ComponentSpec, MixtureSpec
+from rankmix.generators import ComponentSpec, MixtureSpec, SampleBatch, mask
 
 
 def _write_two_component_spec(path, n=12, sigma=0.3, seed=0):
@@ -102,6 +108,39 @@ def test_generate_deterministic(tmp_path):
         main(["generate", "--spec", str(spec_path), "--num", "25", "--p", "0.9",
               "--seed", "7", "--out", str(out)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(2, 8),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_file_boundary_keeps_the_zero_marker(N, n, p, seed, bad):
+    # in memory 0 marks a missing entry; generate writes it as NA, from_dense reads it back as 0
+    rng = np.random.default_rng(seed)
+    values = np.where(rng.random((N, n * (n - 1) // 2)) < 0.5, 0.5, -0.5)
+    batch = mask(SampleBatch(values, rng.integers(0, 3, N), np.arange(N)), p, seed)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "read_mixture_spec"), \
+            mock.patch.object(cli, "sample_mixture"), \
+            mock.patch.object(cli, "mask", return_value=batch):
+        out = str(Path(tmp) / "obs.txt")
+        assert main(["generate", "--spec", "spec.txt", "--num", str(N), "--p", str(p),
+                     "--seed", str(seed), "--out", out]) == 0
+        from_file = ObservationMatrix.from_dense(read_matrix(out))
+    from_memory = ObservationMatrix.from_samples(batch)
+    assert np.shares_memory(from_memory.values, batch.values)
+    assert from_file.values.tobytes() == from_memory.values.tobytes()
+    assert estimate_p_hat(from_file) == estimate_p_hat(from_memory)
+    broken = batch.values.copy()
+    broken[rng.integers(N), rng.integers(broken.shape[1])] = bad
+    with pytest.raises(ValueError, match="exactly"):
+        SampleBatch(broken, batch.labels, batch.row_ids)
+    with pytest.raises(ValueError, match="exactly"):
+        ObservationMatrix(broken)
 
 
 def test_denoise_rank_and_meta(tmp_path):

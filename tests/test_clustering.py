@@ -321,6 +321,16 @@ def test_non_finite_rows_rejected(bad, t2):
         single_linkage(np.array([[0.0], [bad], [1.0]]), t2)
 
 
+def test_overflowing_distances_name_the_rows_scale(tmp_path, capsys):
+    rows = [[0.0], [1e308], [-1.7e308]]  # finite, but their distances overflow
+    with pytest.raises(ValueError, match="overflow float64"):
+        single_linkage(rows)
+    write_matrix(tmp_path / "rows.txt", rows)
+    argv = ["cluster", "--in", str(tmp_path / "rows.txt"), "--auto", "--out", str(tmp_path / "labels.txt")]
+    assert cli.main(argv) == 1
+    assert "overflow float64 (rows too large in scale)" in capsys.readouterr().err
+
+
 def _count_mst_builds(monkeypatch):
     """Patch clustering's scipy calls: one entry in trees per linkage call,
     and the shape of the rows each pdist call receives."""

@@ -76,9 +76,11 @@ def test_observation_matrix_fill_and_validation():
     obs = ObservationMatrix.from_dense(vals)
     assert obs.N == 2 and obs.d == 2
     assert obs.values[0, 1] == 0.0  # a missing (NaN) entry is filled with exactly 0
-    assert obs.mask.tolist() == [[True, False], [True, True]]
+    assert (obs.values != 0).tolist() == [[True, False], [True, True]]
     with pytest.raises(ValueError):
         ObservationMatrix.from_dense(np.array([[0.4, 0.5]]))
+    with pytest.raises(ValueError, match="NaN, not 0"):
+        ObservationMatrix.from_dense(np.array([[0.0, 0.5]]))  # files mark missing with NA
 
 
 # --------------------------------------------------------------------- svd

@@ -137,12 +137,13 @@ def test_embedding_distance_equals_kendall_tau():
 
 def test_embedding_distance_rejects_missing():
     e1 = embed(Permutation([0, 1, 2]))
-    e2 = e1.copy()
-    e2[0] = np.nan  # a missing coordinate
-    with pytest.raises(ValueError):
-        embedding_distance_sq(e1, e2)
-    with pytest.raises(ValueError):
-        embedding_distance_sq(e2, e1)
+    for missing in (0.0, np.nan):  # the in-memory marker, and NaN
+        e2 = e1.copy()
+        e2[0] = missing
+        with pytest.raises(ValueError):
+            embedding_distance_sq(e1, e2)
+        with pytest.raises(ValueError):
+            embedding_distance_sq(e2, e1)
 
 
 def test_embedding_distance_validates_entries():
