@@ -49,6 +49,7 @@ class ObservationMatrix:
         if values.ndim != 2:
             raise ValueError(f"values must be a 2-d array, got shape {values.shape}")
         _check_masked_embedding(values)
+        values = values.view()  # freeze a view, not the caller's array
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

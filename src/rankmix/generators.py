@@ -15,18 +15,21 @@ repeated insertion (Doignon, Pekec & Regenwetter 2004): the item at step j
 lands r slots ahead of the back of the partial ranking with probability
 proportional to phi**r.
 
-One kernel samples a block of m rows: raw draws (m, .) -- n noise terms per
-row, or n-1 uniforms for mallows -- become item ranks (m, n), then embedded
-rows (m, d); repeated insertion takes one numpy step per item for all rows.
-Rows travel as one columnar ``SampleBatch`` (values over +-1/2 with 0 where
-missing -- the one in-memory marker; files write ``NA`` -- labels, unique row
-ids); masking keeps each coordinate with probability p.
+One kernel samples a block of m rows: uniforms (m, .) -- n per row, of
+which mallows reads the first n-1 -- become noise terms, then item ranks
+(m, n), then embedded rows (m, d); repeated insertion takes one numpy step
+per item for all rows. Rows travel as one columnar ``SampleBatch`` (values
+over +-1/2 with 0 where missing -- the one in-memory marker; files write
+``NA`` -- labels, unique non-negative row ids); masking keeps each
+coordinate with probability p.
 
-Randomness is keyed by (seed, row, tag): ``sample_mixture`` draws labels from
-(seed, labels-tag) and row ell from (seed, ell, sample-tag), and ``mask``
-draws row r from (seed, row_ids[r], mask-tag), so any row can be regenerated
-alone and row order never changes row randomness. ``sample_embedded_batch``
-and the experiments' Poisson blocks use one stream per block instead.
+Row randomness is counter-keyed by (seed, tag, row id): ``sample_mixture``
+draws labels from the (seed, labels-tag) substream and row ell's uniforms
+from the Philox block keyed by (seed, sample-tag) at row id ell, and
+``mask`` draws row r's from (seed, mask-tag) at row id row_ids[r]
+(``seeding._keyed_uniforms``). Any row can be regenerated alone and row order
+never changes row randomness. ``sample_embedded_batch`` and the experiments'
+Poisson blocks use one stream per block instead.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .rankings import Permutation, _check_masked_embedding, _pairs, embed_positions
 from .rankings import embed  # noqa: F401 -- perfbench/spans.py wraps generators.embed, so it stays bound
-from .seeding import TAG_LABELS, TAG_MASK, TAG_SAMPLE, substream
+from .seeding import TAG_LABELS, TAG_MASK, TAG_SAMPLE, _keyed_uniforms, substream
 
 MNL = "mnl"
 GAUSSIAN = "gaussian"
@@ -140,9 +143,10 @@ class SampleBatch:
     """N embedded, possibly masked rows with their hidden labels and row ids.
 
     ``values`` is (N, d) over {-1/2, +1/2, 0}, 0 marking a missing
-    coordinate; NaN and inf are refused. ``row_ids`` are the rows'
-    unique identities from generation time; mask substreams key on them,
-    which is what makes masking commute with reordering rows.
+    coordinate; NaN and inf are refused. ``row_ids`` are the rows' unique,
+    non-negative identities from generation time; mask uniforms are keyed
+    on them, which is what makes masking commute with reordering rows. The
+    fields are read-only views, so the caller's arrays stay writable.
     """
 
     values: np.ndarray
@@ -161,7 +165,10 @@ class SampleBatch:
         _check_masked_embedding(values)
         if np.unique(row_ids).size != row_ids.size:
             raise ValueError("row ids must be unique")
+        if (row_ids < 0).any():
+            raise ValueError(f"row ids must be non-negative, got {row_ids.min()}")
         for name, array in (("values", values), ("labels", labels), ("row_ids", row_ids)):
+            array = array.view()
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -171,20 +178,21 @@ class SampleBatch:
 
 # ----------------------------------------------------------------- sampling
 
-def gumbel(beta: float, size, rng: np.random.Generator) -> np.ndarray:
-    """Gumbel(0, beta) draws by inverse CDF: -beta * ln(-ln U)."""
-    u = rng.random(size)
-    with np.errstate(divide="ignore"):
-        return -beta * np.log(-np.log(u))
+def _draws(spec: ComponentSpec, uniforms: np.ndarray) -> np.ndarray:
+    """The raw randomness of m rows from (m, n) uniforms ((m, n-1) suffice
+    for mallows).
 
-
-def _draws(spec: ComponentSpec, m: int, rng: np.random.Generator) -> np.ndarray:
-    """The raw randomness of m rows: n noise terms each, or n-1 uniforms for mallows."""
+    mallows reads the first n-1 columns as they are; mnl turns the uniforms
+    into Gumbel(0, beta) noise, -beta * ln(-ln U), and gaussian into
+    N(0, sigma^2) noise, sigma * ndtri(U). Inverse CDFs use a fixed number
+    of uniforms per row, which is what lets row randomness be counter-keyed.
+    """
     if spec.family == MALLOWS:
-        return rng.random((m, spec.n - 1))
+        return uniforms[:, : spec.n - 1]
     if spec.family == MNL:
-        return gumbel(spec.noise, (m, spec.n), rng)
-    return spec.noise * rng.standard_normal((m, spec.n))
+        with np.errstate(divide="ignore"):  # Generator.random can return U = 0
+            return -spec.noise * np.log(-np.log(uniforms))
+    return spec.noise * ndtri(uniforms)
 
 
 def _embed_draws(spec: ComponentSpec, draws: np.ndarray) -> np.ndarray:
@@ -221,41 +229,45 @@ def _mallows_positions(center: Permutation, phi: float, uniforms: np.ndarray) ->
 def sample_embedded_batch(spec: ComponentSpec, m: int, rng_seed) -> np.ndarray:
     """m embedded draws from one component as an (m, d) array of +-1/2.
 
-    All m rows share one stream, so a row depends on the rows drawn before
-    it; sample_mixture gives every row its own substream instead.
+    All m rows share one stream, ``default_rng(rng_seed).random`` of shape
+    (m, n), or (m, n-1) for mallows, so a row depends on the rows drawn
+    before it; sample_mixture keys every row by its own id instead.
     """
-    return _embed_draws(spec, _draws(spec, m, np.random.default_rng(rng_seed)))
+    width = spec.n - 1 if spec.family == MALLOWS else spec.n
+    return _embed_draws(spec, _draws(spec, np.random.default_rng(rng_seed).random((m, width))))
 
 
 def sample_mixture(spec: MixtureSpec, N: int, rng_seed: int) -> SampleBatch:
     """Draw N labeled, unmasked rows; labels are i.i.d. from the weights.
 
-    Row ell uses the substream (rng_seed, ell, sample-tag), so any single row
-    can be regenerated without touching the others.
+    Labels come from the (rng_seed, labels-tag) substream. Row ell reads the
+    n uniforms keyed by (rng_seed, sample-tag) at row id ell, so any single
+    row can be regenerated without touching the others; rng_seed must be a
+    non-negative integer.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
+    uniforms = _keyed_uniforms(rng_seed, TAG_SAMPLE, np.arange(N), spec.n)
     labels = substream(rng_seed, TAG_LABELS).choice(spec.k, size=N, p=spec.weights)
     values = np.empty((N, spec.components[0].d))
     for label in np.unique(labels):
         component = spec.components[label]
         rows = np.flatnonzero(labels == label)
-        draws = [_draws(component, 1, substream(rng_seed, row, TAG_SAMPLE)) for row in rows]
-        values[rows] = _embed_draws(component, np.concatenate(draws))
+        values[rows] = _embed_draws(component, _draws(component, uniforms[rows]))
     return SampleBatch(values, labels, np.arange(N))
 
 
 def mask(batch: SampleBatch, p: float, rng_seed: int) -> SampleBatch:
     """Keep each coordinate independently with probability p, else set it to 0.
 
-    Row r draws from the substream (rng_seed, batch.row_ids[r], mask-tag).
+    Row r keeps coordinate c iff its uniform keyed by (rng_seed, mask-tag) at
+    row id batch.row_ids[r], column c, is below p; rng_seed must be a
+    non-negative integer. p = 1 keeps every coordinate.
     """
     if not (0.0 < p <= 1.0):
         raise ValueError(f"keep probability must lie in (0, 1], got {p}")
-    uniforms = np.empty(batch.values.shape)
-    for r, row_id in enumerate(batch.row_ids):
-        substream(rng_seed, row_id, TAG_MASK).random(out=uniforms[r])
-    return SampleBatch(np.where(uniforms < p, batch.values, 0.0), batch.labels, batch.row_ids)
+    keep = _keyed_uniforms(rng_seed, TAG_MASK, batch.row_ids, batch.values.shape[1]) < p
+    return SampleBatch(np.where(keep, batch.values, 0.0), batch.labels, batch.row_ids)
 
 
 # ------------------------------------------------------------ exact oracles

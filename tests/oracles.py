@@ -162,13 +162,45 @@ def oracle_score_order(scores):
     return sorted(range(len(scores)), key=lambda a: (-scores[a], a))
 
 
+_MASK64 = 2**64 - 1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def oracle_philox4x64_10(counter, key):
+    """One Philox4x64-10 block (Salmon et al. 2011) in Python integers:
+    four 64-bit counter words and two key words in, four words out."""
+    c = list(counter)
+    k = list(key)
+    for round_ in range(10):
+        if round_:
+            k = [(k[0] + _PHILOX_W[0]) & _MASK64, (k[1] + _PHILOX_W[1]) & _MASK64]
+        p0 = _PHILOX_M[0] * c[0]
+        p1 = _PHILOX_M[1] * c[2]
+        c = [(p1 >> 64) ^ c[1] ^ k[0], p1 & _MASK64, (p0 >> 64) ^ c[3] ^ k[1], p0 & _MASK64]
+    return c
+
+
+def oracle_keyed_uniforms(seed, tag, row_id, width):
+    """The width uniforms of one row: with q = ceil(width / 4), Philox blocks
+    at counters row_id*q + 1 .. row_id*q + q under the key
+    SeedSequence([seed, tag]).generate_state(2, uint64), each raw word x
+    mapped to ((x >> 12) + 0.5) * 2**-52."""
+    key = [int(w) for w in np.random.SeedSequence([int(seed), int(tag)]).generate_state(2, np.uint64)]
+    q = -(-width // 4)
+    words = []
+    for c in range(int(row_id) * q + 1, int(row_id) * q + q + 1):
+        words += oracle_philox4x64_10([(c >> (64 * w)) & _MASK64 for w in range(4)], key)
+    return [((x >> 12) + 0.5) * 2.0**-52 for x in words[:width]]
+
+
 def oracle_mask_rows(values, row_ids, p, seed, tag):
-    """Row by row: row r keeps a coordinate iff the uniform drawn for it from the
-    substream (seed, row_ids[r], tag) is below p, and holds 0 otherwise."""
+    """Row by row: row r keeps a coordinate iff its uniform from
+    oracle_keyed_uniforms(seed, tag, row_ids[r], d) is below p, and holds 0
+    otherwise."""
     out = []
     for row, row_id in zip(values, row_ids):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(row_id), int(tag)]))
-        keep = rng.random(len(row)) < p
+        keep = np.array(oracle_keyed_uniforms(seed, tag, row_id, len(row))) < p
         out.append(np.where(keep, row, 0.0))
     return np.array(out).reshape(np.shape(values))
 

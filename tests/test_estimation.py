@@ -83,6 +83,14 @@ def test_observation_matrix_fill_and_validation():
         ObservationMatrix.from_dense(np.array([[0.0, 0.5]]))  # files mark missing with NA
 
 
+def test_observation_matrix_leaves_the_callers_array_writable():
+    a = np.zeros((2, 2))
+    obs = ObservationMatrix(a)
+    assert np.shares_memory(obs.values, a) and not obs.values.flags.writeable
+    a[0, 0] = 0.5
+    assert obs.values[0, 0] == 0.5  # a frozen view, not a copy
+
+
 # --------------------------------------------------------------------- svd
 
 def test_svd_contract():

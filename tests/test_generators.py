@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from oracles import (
     lex_pairs,
     oracle_embed,
     oracle_gaussian_marginal,
+    oracle_keyed_uniforms,
     oracle_mallows_insertion,
     oracle_mallows_marginal,
     oracle_mallows_pmf,
     oracle_mask_rows,
     oracle_mnl_marginal,
+    oracle_philox4x64_10,
     oracle_score_order,
     positions_of,
 )
@@ -24,9 +27,9 @@ from rankmix.generators import (
     ComponentSpec,
     MixtureSpec,
     SampleBatch,
+    _draws,
     cluster_mean,
     exact_pairwise_marginal,
-    gumbel,
     hypercube_utilities,
     mask,
     normal_utilities,
@@ -36,7 +39,7 @@ from rankmix.generators import (
 )
 from rankmix.pipeline import run_pipeline
 from rankmix.rankings import Permutation, embed
-from rankmix.seeding import TAG_MASK, TAG_SAMPLE, substream
+from rankmix.seeding import TAG_MASK, TAG_SAMPLE, _keyed_uniforms
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -121,7 +124,7 @@ def test_mallows_pmf_matches_brute_force():
 def test_gumbel_inverse_cdf_mean():
     for beta in (1.0, 2.0):
         rng = np.random.default_rng(11)
-        g = gumbel(beta, 100_000, rng)
+        g = _draws(ComponentSpec.mnl(np.zeros(2), beta), rng.random((50_000, 2)))
         assert abs(np.mean(g) - beta * EULER_GAMMA) / (beta * EULER_GAMMA) <= 0.02
 
 
@@ -148,15 +151,16 @@ def _component(family, n, seed):
 
 
 def _per_row_reference(spec, m, rng):
-    """m rows drawn one at a time from one stream, as the per-row sampler did."""
+    """m rows drawn one at a time from one stream: n uniforms a row through
+    the inverse CDF, or one rng.choice per inserted item for mallows."""
     rows = []
     for _ in range(m):
         if spec.family == MALLOWS:
             order = oracle_mallows_insertion(spec.center.order, spec.noise, rng)
         elif spec.family == MNL:
-            order = oracle_score_order(spec.utilities + gumbel(spec.noise, spec.n, rng))
+            order = oracle_score_order(spec.utilities - spec.noise * np.log(-np.log(rng.random(spec.n))))
         else:
-            order = oracle_score_order(spec.utilities + spec.noise * rng.standard_normal(spec.n))
+            order = oracle_score_order(spec.utilities + spec.noise * ndtri(rng.random(spec.n)))
         embedded = oracle_embed(order)
         rows.append([embedded[pair] for pair in lex_pairs(spec.n)])
     return np.array(rows).reshape(m, spec.d)
@@ -338,6 +342,23 @@ def test_sample_mixture_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+class _Replay:
+    """Hands out one row's fixed uniforms where _per_row_reference draws from
+    a Generator; choice inverts p's cdf on one uniform, as Generator.choice does."""
+
+    def __init__(self, uniforms):
+        self._u = list(uniforms)
+
+    def random(self, size):
+        out, self._u = self._u[:size], self._u[size:]
+        return np.array(out)
+
+    def choice(self, k, p):
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        return int(np.searchsorted(cdf, self.random(1)[0], side="right"))
+
+
 def _three_family_mixture(n):
     return MixtureSpec([_component(family, n, seed=n) for family in (MNL, GAUSSIAN, MALLOWS)], [0.3, 0.3, 0.4])
 
@@ -350,8 +371,8 @@ def test_sample_mixture_row_equals_its_own_one_row_block(seed, n, N):
     assert np.array_equal(batch.row_ids, np.arange(N))
     for row in range(N):
         component = spec.components[batch.labels[row]]
-        (want,) = sample_embedded_batch(component, 1, substream(seed, row, TAG_SAMPLE))
-        assert np.array_equal(batch.values[row], want)
+        want = _per_row_reference(component, 1, _Replay(oracle_keyed_uniforms(seed, TAG_SAMPLE, row, n)))
+        assert np.array_equal(batch.values[row], want[0])
 
 
 def test_sample_batch_validates_in_bulk():
@@ -366,6 +387,26 @@ def test_sample_batch_validates_in_bulk():
         SampleBatch(values[0], [0], [4])  # not 2-d
     with pytest.raises(ValueError):
         SampleBatch(values * 2, [0, 1], [4, 9])  # +-1 is not an embedded value
+    with pytest.raises(ValueError, match="row ids must be non-negative"):
+        SampleBatch(values, [0, 1], [4, -3])  # row ids address Philox counters
+
+
+def test_sample_batch_leaves_the_callers_arrays_writable():
+    values = np.array([[0.5, -0.5], [0.0, 0.5]])
+    labels = np.array([0, 1], dtype=np.int64)
+    batch = SampleBatch(values, labels, np.arange(2))
+    assert np.shares_memory(batch.values, values) and not batch.values.flags.writeable
+    values[0, 0] = -0.5
+    labels[0] = 1
+    assert batch.values[0, 0] == -0.5  # a frozen view, not a copy
+
+
+def test_negative_seed_is_refused_by_name():
+    batch = sample_mixture(_two_component_mixture(), 3, rng_seed=1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        mask(batch, 0.5, rng_seed=-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        sample_mixture(_two_component_mixture(), 3, rng_seed=-1)
 
 
 # ------------------------------------------------------------------- masking
@@ -407,7 +448,7 @@ def test_mask_substreams_commute_with_row_order():
     for out_pos, src in enumerate(perm):
         a = masked2.values[out_pos]
         b = masked.values[src]
-        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("N", (1, 500))
@@ -422,6 +463,41 @@ def test_mask_matches_per_row_reference(n, N):
             assert np.array_equal(masked.values, want)
             assert np.array_equal(masked.labels, rows.labels)
             assert np.array_equal(masked.row_ids, rows.row_ids)
+
+
+def test_philox_oracle_known_answers():
+    ones = 2**64 - 1
+    assert [f"{w:016x}" for w in oracle_philox4x64_10([0] * 4, [0] * 2)] == [
+        "16554d9eca36314c", "db20fe9d672d0fdc", "d7e772cee186176b", "7e68b68aec7ba23b",
+    ]
+    assert [f"{w:016x}" for w in oracle_philox4x64_10([ones] * 4, [ones] * 2)] == [
+        "87b092c3013fe90b", "438c3c67be8d0224", "9cc7d7c69cd777b6", "a09caebf594f0ba0",
+    ]
+
+
+@st.composite
+def _row_ids(draw):
+    """Up to 40 unique ids in [0, 2**40): a few runs of consecutive ids at
+    random starts (so gapped, often single rows), in shuffled order."""
+    ids = []
+    for start in draw(st.lists(st.integers(0, 2**40 - 11), min_size=1, max_size=5)):
+        ids += range(start, start + draw(st.integers(1, 10)))
+    ids = list(dict.fromkeys(ids))[:40]
+    return draw(st.permutations(ids))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=_row_ids(), width=st.integers(1, 50), seed=st.integers(0, 2**64 - 1))
+def test_keyed_uniforms_follow_the_counter_contract(ids, width, seed):
+    uniforms = _keyed_uniforms(seed, TAG_MASK, np.array(ids), width)
+    assert uniforms.shape == (len(ids), width)
+    assert ((uniforms > 0) & (uniforms < 1)).all()
+    for row, row_id in zip(uniforms, ids):
+        assert row.tolist() == oracle_keyed_uniforms(seed, TAG_MASK, row_id, width)
+    assert not np.array_equal(uniforms, _keyed_uniforms(seed, TAG_SAMPLE, np.array(ids), width))
+    values = np.where(np.random.default_rng(seed % 2**32).random((len(ids), width)) < 0.5, -0.5, 0.5)
+    batch = SampleBatch(values, np.zeros(len(ids)), ids)
+    assert np.array_equal(mask(batch, 1.0, seed).values, values)
 
 
 # ------------------------------------------------------------------- helpers
