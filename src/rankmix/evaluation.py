@@ -27,7 +27,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import ndtr
 
 from .generators import ComponentSpec, sample_embedded_batch
-from .seeding import TAG_DIRECTIONS, TAG_SAMPLE, substream
+from .seeding import TAG_DIRECTIONS, substream
 
 @dataclass(frozen=True)
 class EvaluationReport:
@@ -109,12 +109,12 @@ def gamma_lower_bound_gaussian(n: int, sigma: float) -> float:
     )
 
 
-def psi2_norm(samples, rtol: float = 1e-6) -> float:
+def psi2_norm(samples) -> float:
     """Empirical psi2 norm: smallest t with mean(exp(x^2/t^2)) <= 2.
 
-    Solved by bisection on a bracket whose low end makes the largest term
-    exp(700) — big enough to force a sign change without overflowing — and
-    whose high end caps every term at exp(0.01).
+    Solved to relative tolerance 1e-6 by bisection on a bracket whose low
+    end makes the largest term exp(700) — big enough to force a sign change
+    without overflowing — and whose high end caps every term at exp(0.01).
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
@@ -127,7 +127,7 @@ def psi2_norm(samples, rtol: float = 1e-6) -> float:
         with np.errstate(over="ignore"):
             return float(np.mean(np.exp((x / t) ** 2))) - 2.0
 
-    return float(bisect(excess, xmax / math.sqrt(700.0), 10.0 * xmax, rtol=rtol))
+    return float(bisect(excess, xmax / math.sqrt(700.0), 10.0 * xmax, rtol=1e-6))
 
 
 def empirical_tau(
@@ -138,15 +138,16 @@ def empirical_tau(
 ) -> float:
     """Empirical sub-Gaussian dispersion of one component's embedding.
 
-    Draws num_samples embedded rankings, centers them, and returns the max
-    empirical psi2 norm of the projections onto num_directions random unit
-    directions plus the normalized all-ones direction.
+    Draws ``sample_embedded_batch(spec, num_samples, rng_seed)``, centers
+    it, and returns the max empirical psi2 norm of the projections onto
+    num_directions random unit directions (the (rng_seed, directions-tag)
+    substream) plus the normalized all-ones direction.
     """
     if num_samples < 100:
         raise ValueError("num_samples must be at least 100")
     if num_directions < 1:
         raise ValueError("num_directions must be at least 1")
-    x = sample_embedded_batch(spec, num_samples, substream(rng_seed, TAG_SAMPLE))
+    x = sample_embedded_batch(spec, num_samples, rng_seed)
     xc = x - x.mean(axis=0)
     d = x.shape[1]
     rng = substream(rng_seed, TAG_DIRECTIONS)

@@ -12,7 +12,10 @@ Three sweeps, each writing one CSV per figure-worth of data:
   row per (n, noise) cell, averaged over trials.
 
 Component sizes are Poisson(lambda) draws and utilities are standard normal
-per component, refreshed per trial. A config file sets the noise grid with
+per component, refreshed per trial. A cell draws its row count N ~
+Poisson(k lambda), then N rows of the k components with equal weights
+through ``sample_mixture``; by Poisson splitting the k sizes are then
+independent Poisson(lambda) draws. A config file sets the noise grid with
 at most one of sigma= (gaussian), beta= (mnl) or noise= (keeps the family).
 Grids default to desk scale; the paper_scale flag switches to the full
 published grids. All outputs are byte-deterministic functions of the config
@@ -32,15 +35,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .evaluation import empirical_tau
-from .generators import (
-    GAUSSIAN,
-    MNL,
-    ComponentSpec,
-    SampleBatch,
-    mask,
-    normal_utilities,
-    sample_embedded_batch,
-)
+from .generators import GAUSSIAN, MNL, ComponentSpec, MixtureSpec, mask, normal_utilities, sample_mixture
 from .pipeline import run_pipeline_samples
 from .seeding import TAG_MASK, TAG_SAMPLE, TAG_SIZES, TAG_TRIAL, TAG_UTILITIES, child_seed, substream
 
@@ -202,26 +197,17 @@ def _write_csv(path: Path, header, rows) -> str:
 # shared generation
 # ---------------------------------------------------------------------------
 
-def _component(cfg: ExperimentConfig, n: int, noise: float, trial: int, index: int) -> ComponentSpec:
-    u = normal_utilities(n, substream(cfg.seed, TAG_UTILITIES, trial, n, index))
-    return ComponentSpec(cfg.family, float(noise), utilities=u)
-
-
-def _poisson_samples(cfg: ExperimentConfig, n: int, noise_idx: int, trial: int) -> SampleBatch:
-    """Poisson(lambda)-sized blocks, one stream and one label per component."""
-    noise = cfg.noise_list[noise_idx]
-    sizes = substream(cfg.seed, TAG_SIZES, trial, n, noise_idx).poisson(cfg.lam, size=cfg.k)
-    if int(sizes.sum()) < 2:
-        raise ValueError(f"Poisson sizes for lambda={cfg.lam} summed to {int(sizes.sum())} rows")
-    blocks = [
-        sample_embedded_batch(
-            _component(cfg, n, noise, trial, i), int(m), substream(cfg.seed, TAG_SAMPLE, trial, n, noise_idx, i)
-        )
-        for i, m in enumerate(sizes)
-        if m > 0
-    ]
-    labels = np.repeat(np.arange(cfg.k), sizes)
-    return SampleBatch(np.vstack(blocks), labels, np.arange(labels.size))
+def _poisson_samples(cfg: ExperimentConfig, n: int, noise_idx: int, trial: int):
+    """N ~ Poisson(k lambda) rows of the equal-weight mixture of the cell's k
+    components, so each component's size is Poisson(lambda)."""
+    N = int(substream(cfg.seed, TAG_SIZES, trial, n, noise_idx).poisson(cfg.k * cfg.lam))
+    if N < 2:
+        raise ValueError(f"Poisson(k*lambda={cfg.k * cfg.lam}) drew {N} rows; need at least 2")
+    noise = float(cfg.noise_list[noise_idx])
+    streams = [substream(cfg.seed, TAG_UTILITIES, trial, n, i) for i in range(cfg.k)]
+    components = [ComponentSpec(cfg.family, noise, utilities=normal_utilities(n, s)) for s in streams]
+    spec = MixtureSpec(components, np.full(cfg.k, 1.0 / cfg.k))
+    return sample_mixture(spec, N, child_seed(cfg.seed, TAG_SAMPLE, trial, n, noise_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +255,10 @@ def _run_exp2(cfg: ExperimentConfig, out: Path) -> list[str]:
     rows = []
     for n in cfg.n_list:
         for noise_idx, noise in enumerate(cfg.noise_list):
+            # a trial's batch does not depend on p: draw it once, mask it per p
+            batches = [_poisson_samples(cfg, n, noise_idx, trial) for trial in range(cfg.trials)]
             for p_idx, p in enumerate(cfg.p_list):
-                for trial in range(cfg.trials):
-                    batch = _poisson_samples(cfg, n, noise_idx, trial)
+                for trial, batch in enumerate(batches):
                     masked = mask(
                         batch, p, child_seed(cfg.seed, TAG_MASK, trial, n, noise_idx, p_idx)
                     )

@@ -15,21 +15,21 @@ repeated insertion (Doignon, Pekec & Regenwetter 2004): the item at step j
 lands r slots ahead of the back of the partial ranking with probability
 proportional to phi**r.
 
-One kernel samples a block of m rows: uniforms (m, .) -- n per row, of
-which mallows reads the first n-1 -- become noise terms, then item ranks
-(m, n), then embedded rows (m, d); repeated insertion takes one numpy step
-per item for all rows. Rows travel as one columnar ``SampleBatch`` (values
-over +-1/2 with 0 where missing -- the one in-memory marker; files write
-``NA`` -- labels, unique non-negative row ids); masking keeps each
-coordinate with probability p.
+One kernel samples a block of m rows: uniforms (m, n) -- of which mallows
+reads the first n-1 -- become noise terms, then item ranks (m, n), then
+embedded rows (m, d); repeated insertion takes one numpy step per item for
+all rows. Rows travel as one columnar ``SampleBatch`` (values over +-1/2
+with 0 where missing -- the one in-memory marker; files write ``NA`` --
+labels, unique non-negative row ids); masking keeps each coordinate with
+probability p.
 
-Row randomness is counter-keyed by (seed, tag, row id): ``sample_mixture``
-draws labels from the (seed, labels-tag) substream and row ell's uniforms
-from the Philox block keyed by (seed, sample-tag) at row id ell, and
-``mask`` draws row r's from (seed, mask-tag) at row id row_ids[r]
-(``seeding._keyed_uniforms``). Any row can be regenerated alone and row order
-never changes row randomness. ``sample_embedded_batch`` and the experiments'
-Poisson blocks use one stream per block instead.
+All row randomness is counter-keyed by (seed, tag, row id)
+(``seeding._keyed_uniforms``): row ell of a sample reads the n uniforms
+keyed by (seed, sample-tag) at row id ell, in ``sample_mixture`` and
+``sample_embedded_batch`` alike, and ``mask`` reads row r's from (seed,
+mask-tag) at row id row_ids[r]. Mixture labels come from the (seed,
+labels-tag) substream. Any row can be regenerated alone and row order never
+changes row randomness.
 """
 
 from __future__ import annotations
@@ -179,8 +179,7 @@ class SampleBatch:
 # ----------------------------------------------------------------- sampling
 
 def _draws(spec: ComponentSpec, uniforms: np.ndarray) -> np.ndarray:
-    """The raw randomness of m rows from (m, n) uniforms ((m, n-1) suffice
-    for mallows).
+    """The raw randomness of m rows from (m, n) uniforms inside (0, 1).
 
     mallows reads the first n-1 columns as they are; mnl turns the uniforms
     into Gumbel(0, beta) noise, -beta * ln(-ln U), and gaussian into
@@ -190,8 +189,7 @@ def _draws(spec: ComponentSpec, uniforms: np.ndarray) -> np.ndarray:
     if spec.family == MALLOWS:
         return uniforms[:, : spec.n - 1]
     if spec.family == MNL:
-        with np.errstate(divide="ignore"):  # Generator.random can return U = 0
-            return -spec.noise * np.log(-np.log(uniforms))
+        return -spec.noise * np.log(-np.log(uniforms))
     return spec.noise * ndtri(uniforms)
 
 
@@ -226,15 +224,14 @@ def _mallows_positions(center: Permutation, phi: float, uniforms: np.ndarray) ->
     return position
 
 
-def sample_embedded_batch(spec: ComponentSpec, m: int, rng_seed) -> np.ndarray:
+def sample_embedded_batch(spec: ComponentSpec, m: int, rng_seed: int) -> np.ndarray:
     """m embedded draws from one component as an (m, d) array of +-1/2.
 
-    All m rows share one stream, ``default_rng(rng_seed).random`` of shape
-    (m, n), or (m, n-1) for mallows, so a row depends on the rows drawn
-    before it; sample_mixture keys every row by its own id instead.
+    Rows are keyed as in sample_mixture, so the result equals
+    ``sample_mixture(MixtureSpec([spec], [1.0]), m, rng_seed).values`` and
+    its first rows do not depend on m.
     """
-    width = spec.n - 1 if spec.family == MALLOWS else spec.n
-    return _embed_draws(spec, _draws(spec, np.random.default_rng(rng_seed).random((m, width))))
+    return _embed_draws(spec, _draws(spec, _keyed_uniforms(rng_seed, TAG_SAMPLE, np.arange(m), spec.n)))
 
 
 def sample_mixture(spec: MixtureSpec, N: int, rng_seed: int) -> SampleBatch:

@@ -124,7 +124,7 @@ def embed_positions(position) -> np.ndarray:
 
 def _check_masked_embedding(values: np.ndarray) -> None:
     """Raise unless every entry is exactly +1/2 or -1/2 (observed) or 0 (missing)."""
-    if not np.all((np.abs(values) == 0.5) | (values == 0.0)):
+    if not np.isin(values, (-0.5, 0.0, 0.5)).all():
         raise ValueError("every entry must be exactly +1/2 or -1/2, or 0 where missing")
 
 

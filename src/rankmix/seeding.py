@@ -1,17 +1,19 @@
 """Deterministic randomness keyed by (master seed, purpose tag, ...).
 
 One integer master seed governs a whole run. Every independent consumer of
-randomness (a direction draw, an experiment cell, a block of sampled rows)
-derives its own generator from (master, *path) so that any part of a run can
-be reproduced in isolation.
+randomness that is not a row (a direction draw, label draws, Poisson sizes,
+an experiment cell's seed) derives its own generator or seed from
+(master, *path) so that any part of a run can be reproduced in isolation.
 
-Row randomness is counter-keyed instead: ``_keyed_uniforms`` addresses a
-row's uniforms by (seed, tag, row id) through one Philox4x64-10 block per
-run of consecutive row ids, with no per-row generator, so a row can be
-regenerated alone and row order never bleeds into row randomness.
+Row randomness has one source: ``_keyed_uniforms`` addresses a row's
+uniforms by (seed, tag, row id) through one Philox4x64-10 block per run of
+consecutive row ids, with no per-row generator, so a row can be regenerated
+alone and row order never bleeds into row randomness.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -26,16 +28,27 @@ TAG_SIZES = 5
 TAG_TRIAL = 7
 
 
+def _seed(value) -> int:
+    """value as an int; anything but a non-negative integer (numpy integers
+    pass), such as 1.5 or a Generator, is refused rather than cast."""
+    try:
+        seed = operator.index(value)
+    except TypeError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value}")
+    return seed
+
+
 def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Generator for the substream addressed by (master_seed, *path)."""
-    entropy = [int(master_seed)] + [int(x) for x in path]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(np.random.SeedSequence([_seed(x) for x in (master_seed, *path)]))
 
 
 def child_seed(master_seed: int, *path: int) -> int:
     """A derived integer seed, for handing a whole sub-run its own master."""
-    entropy = [int(master_seed)] + [int(x) for x in path]
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    sequence = np.random.SeedSequence([_seed(x) for x in (master_seed, *path)])
+    return int(sequence.generate_state(1, np.uint64)[0])
 
 
 def _keyed_uniforms(seed: int, tag: int, row_ids, width: int) -> np.ndarray:
@@ -51,10 +64,7 @@ def _keyed_uniforms(seed: int, tag: int, row_ids, width: int) -> np.ndarray:
     mantissa, and the top word would round to exactly 1.) The stream depends
     only on the bit generator, whose output NumPy keeps stable (NEP 19).
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    key = np.random.SeedSequence([seed, tag]).generate_state(2, np.uint64)
+    key = np.random.SeedSequence([_seed(seed), tag]).generate_state(2, np.uint64)
     q = -(-width // 4)
     ids = np.asarray(row_ids, dtype=np.int64)
     order = np.argsort(ids)

@@ -47,7 +47,7 @@ from rankmix.rankings import (
     kendall_tau,
     pair_index,
 )
-from rankmix.seeding import substream
+from rankmix.seeding import child_seed, substream
 
 TAU_BUDGET = 0.55  # tau_hat <= TAU_BUDGET * sqrt(n - 1) for every family tested
 
@@ -87,7 +87,7 @@ def test_02_empirical_marginals_match_closed_forms():
         ComponentSpec.gaussian(normal_utilities(n, substream(21, 1)), 0.7),
     ]
     for fam_idx, spec in enumerate(specs):
-        batch = sample_embedded_batch(spec, m, substream(22, fam_idx))
+        batch = sample_embedded_batch(spec, m, child_seed(22, fam_idx))
         for a in range(n):
             for b in range(a + 1, n):
                 empirical = 0.5 + batch[:, pair_index(a, b, n)].mean()
@@ -103,7 +103,7 @@ def test_03_mallows_sampler_total_variation():
     pairs = lex_pairs(n)
     for phi_idx, phi in enumerate((0.3, 0.7)):
         spec = ComponentSpec.mallows(Permutation(list(center)), phi)
-        batch = sample_embedded_batch(spec, m, substream(31, phi_idx))
+        batch = sample_embedded_batch(spec, m, child_seed(31, phi_idx))
         rows, counts = np.unique(batch, axis=0, return_counts=True)
         empirical = {
             tuple(row.tolist()): cnt / m for row, cnt in zip(rows, counts)

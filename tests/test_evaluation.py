@@ -28,7 +28,7 @@ from rankmix.evaluation import (
 )
 from rankmix.generators import ComponentSpec, cluster_mean, hypercube_utilities, sample_embedded_batch
 from rankmix.rankings import Permutation
-from rankmix.seeding import TAG_SAMPLE, substream
+from rankmix.seeding import substream
 
 from oracles import oracle_risk_exhaustive
 
@@ -286,7 +286,7 @@ def test_tau_within_calibrated_sqrt_n_budget():
 def test_tau_always_probes_the_all_ones_direction():
     # one random direction plus the disagreement count, whose psi2 is a floor
     spec = ComponentSpec.gaussian(np.zeros(30), 1.0)
-    x = sample_embedded_batch(spec, 300, substream(5, TAG_SAMPLE))
+    x = sample_embedded_batch(spec, 300, 5)
     xc = x - x.mean(axis=0)
     floor = psi2_norm(xc @ np.full(x.shape[1], 1.0 / math.sqrt(x.shape[1])))
     assert empirical_tau(spec, num_samples=300, num_directions=1, rng_seed=5) >= floor

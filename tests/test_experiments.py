@@ -182,6 +182,22 @@ def test_exp2_bit_identical_reruns(tmp_path):
     assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
+def test_exp2_draws_each_trial_batch_once_and_masks_it_per_p(tmp_path, monkeypatch):
+    calls = []
+    original = experiments._poisson_samples
+
+    def counted(cfg, n, noise_idx, trial):
+        calls.append((n, noise_idx, trial))
+        return original(cfg, n, noise_idx, trial)
+
+    monkeypatch.setattr(experiments, "_poisson_samples", counted)
+    (path,) = run_experiment(_tiny_exp2(tmp_path, noise_list=(0.3, 0.5), trials=3))
+    assert calls == [(12, noise_idx, trial) for noise_idx in range(2) for trial in range(3)]
+    header, rows = _read_csv(path)
+    cells = [(float(r[2]), float(r[3]), int(r[4])) for r in rows]
+    assert cells == [(noise, p, trial) for noise in (0.3, 0.5) for p in (1.0, 0.3) for trial in range(3)]
+
+
 def test_exp2_seed_changes_output(tmp_path):
     (pa,) = run_experiment(_tiny_exp2(tmp_path / "a"))
     (pb,) = run_experiment(_tiny_exp2(tmp_path / "b", seed=6))
@@ -272,6 +288,24 @@ def test_exp1_poisson_sizes_vary_with_seed(tmp_path):
         _, rows = _read_csv(proj)
         sizes.add(len(rows))
     assert len(sizes) > 1  # component sizes are Poisson draws, not fixed
+
+
+def test_poisson_sizes_split_into_independent_poisson_lambda_counts():
+    # N ~ Poisson(k lambda) with equal-weight labels: each component's size is
+    # Poisson(lambda) (mean = variance = lambda) and the sizes are uncorrelated;
+    # a fixed N would give correlation -1/(k-1) = -0.5 instead
+    k, lam, trials = 3, 5.0, 3000
+    cfg = default_config("exp2", "unused").replace(n_list=(2,), k=k, lam=lam, seed=13)
+    sizes = np.array(
+        [np.bincount(experiments._poisson_samples(cfg, 2, 0, t).labels, minlength=k) for t in range(trials)]
+    )
+    assert sizes.shape == (trials, k)
+    # 4 standard errors each: sqrt(lam/T) for a mean, sqrt((lam + 2 lam^2)/T)
+    # for a Poisson sample variance, 1/sqrt(T) for a correlation under independence
+    assert np.all(np.abs(sizes.mean(axis=0) - lam) <= 4 * np.sqrt(lam / trials))
+    assert np.all(np.abs(sizes.var(axis=0, ddof=1) - lam) <= 4 * np.sqrt((lam + 2 * lam**2) / trials))
+    corr = np.corrcoef(sizes, rowvar=False)[np.triu_indices(k, 1)]
+    assert np.all(np.abs(corr) <= 4 / np.sqrt(trials))
 
 
 # ---------------------------------------------------------------------------

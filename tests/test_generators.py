@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -39,7 +40,7 @@ from rankmix.generators import (
 )
 from rankmix.pipeline import run_pipeline
 from rankmix.rankings import Permutation, embed
-from rankmix.seeding import TAG_MASK, TAG_SAMPLE, _keyed_uniforms
+from rankmix.seeding import TAG_MASK, TAG_SAMPLE, _keyed_uniforms, child_seed, substream
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -150,9 +151,27 @@ def _component(family, n, seed):
     return ComponentSpec.gaussian(rng.normal(size=n), sigma=0.4)
 
 
+class _Replay:
+    """Hands out one row's fixed uniforms where _per_row_reference draws from
+    a Generator; choice inverts p's cdf on one uniform, as Generator.choice does."""
+
+    def __init__(self, uniforms):
+        self._u = list(uniforms)
+
+    def random(self, size):
+        out, self._u = self._u[:size], self._u[size:]
+        return np.array(out)
+
+    def choice(self, k, p):
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        return int(np.searchsorted(cdf, self.random(1)[0], side="right"))
+
+
 def _per_row_reference(spec, m, rng):
-    """m rows drawn one at a time from one stream: n uniforms a row through
-    the inverse CDF, or one rng.choice per inserted item for mallows."""
+    """m rows drawn one at a time from rng (a Generator or a _Replay): n
+    uniforms a row through the inverse CDF, or one rng.choice per inserted
+    item for mallows."""
     rows = []
     for _ in range(m):
         if spec.family == MALLOWS:
@@ -171,8 +190,26 @@ def _per_row_reference(spec, m, rng):
 @pytest.mark.parametrize("family", (MNL, GAUSSIAN, MALLOWS))
 def test_batch_kernel_matches_per_row_reference(family, n, m):
     spec = _component(family, n, seed=n)
-    want = _per_row_reference(spec, m, np.random.default_rng(17))
+    want = np.vstack(
+        [_per_row_reference(spec, 1, _Replay(oracle_keyed_uniforms(17, TAG_SAMPLE, row, n))) for row in range(m)]
+    )
     assert np.array_equal(sample_embedded_batch(spec, m, 17), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from((MNL, GAUSSIAN, MALLOWS)),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 9),
+    m=st.integers(1, 30),
+    prefix=st.integers(1, 30),
+)
+def test_sample_embedded_batch_is_a_one_component_mixture_with_stable_prefixes(family, seed, n, m, prefix):
+    spec = _component(family, n, seed=n)
+    rows = sample_embedded_batch(spec, m, seed)
+    assert np.array_equal(rows, sample_mixture(MixtureSpec([spec], [1.0]), m, seed).values)
+    prefix = min(prefix, m)
+    assert np.array_equal(sample_embedded_batch(spec, prefix, seed), rows[:prefix])
 
 
 # ------------------------------------------------------------ exact marginals
@@ -342,23 +379,6 @@ def test_sample_mixture_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-class _Replay:
-    """Hands out one row's fixed uniforms where _per_row_reference draws from
-    a Generator; choice inverts p's cdf on one uniform, as Generator.choice does."""
-
-    def __init__(self, uniforms):
-        self._u = list(uniforms)
-
-    def random(self, size):
-        out, self._u = self._u[:size], self._u[size:]
-        return np.array(out)
-
-    def choice(self, k, p):
-        cdf = np.cumsum(p)
-        cdf /= cdf[-1]
-        return int(np.searchsorted(cdf, self.random(1)[0], side="right"))
-
-
 def _three_family_mixture(n):
     return MixtureSpec([_component(family, n, seed=n) for family in (MNL, GAUSSIAN, MALLOWS)], [0.3, 0.3, 0.4])
 
@@ -391,6 +411,14 @@ def test_sample_batch_validates_in_bulk():
         SampleBatch(values, [0, 1], [4, -3])  # row ids address Philox counters
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, 1.0, -1.0, 0.25, -0.25))
+def test_sample_batch_refuses_every_value_but_the_three_markers(bad):
+    values = np.array([[0.5, -0.5, 0.0], [-0.5, 0.5, 0.5]])
+    values[1, 2] = bad
+    with pytest.raises(ValueError, match="exactly \\+1/2 or -1/2, or 0 where missing"):
+        SampleBatch(values, [0, 1], [4, 9])
+
+
 def test_sample_batch_leaves_the_callers_arrays_writable():
     values = np.array([[0.5, -0.5], [0.0, 0.5]])
     labels = np.array([0, 1], dtype=np.int64)
@@ -407,6 +435,30 @@ def test_negative_seed_is_refused_by_name():
         mask(batch, 0.5, rng_seed=-1)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         sample_mixture(_two_component_mixture(), 3, rng_seed=-1)
+
+
+@pytest.mark.parametrize(
+    "seed", (1.5, np.float64(2.0), "3", np.random.default_rng(0)), ids=("float", "numpy-float", "str", "generator")
+)
+def test_non_integral_seed_is_refused_by_name(seed):
+    batch = sample_mixture(_two_component_mixture(), 3, rng_seed=1)
+    message = "seed must be a non-negative integer, got " + re.escape(str(seed))
+    for draw in (
+        lambda: mask(batch, 0.5, seed),
+        lambda: sample_mixture(_two_component_mixture(), 3, seed),
+        lambda: sample_embedded_batch(ComponentSpec.mnl([1.0, 0.0], beta=1.0), 3, seed),
+        lambda: substream(seed, TAG_SAMPLE),
+        lambda: child_seed(4, TAG_SAMPLE, seed),
+    ):
+        with pytest.raises(ValueError, match=message):
+            draw()
+
+
+def test_numpy_integer_seeds_match_python_ints():
+    batch = sample_mixture(_two_component_mixture(), 5, rng_seed=np.int64(1))
+    assert np.array_equal(batch.values, sample_mixture(_two_component_mixture(), 5, rng_seed=1).values)
+    assert np.array_equal(mask(batch, 0.5, np.uint32(4)).values, mask(batch, 0.5, 4).values)
+    assert child_seed(np.int16(3), np.uint8(1)) == child_seed(3, 1)
 
 
 # ------------------------------------------------------------------- masking
