@@ -7,11 +7,17 @@ Every (n, N, p) of the grid is a 3-component Gaussian mixture (sigma 0.3)
 with the same spec and seed on both trees. For each one a repeat measures,
 with time.perf_counter: LAPACK's thin SVD (tests/oracles.py::oracle_thin_svd)
 and rankmix's compute_svd on the same observation matrix, and one
-run_pipeline call. Each repeat runs in a fresh process per tree, after one
-untimed warm-up pipeline run, and the tree that runs first alternates
-between repeats. The base tree's src/ is extracted with `git archive`. The
-script fails unless both trees return the same labels, k_hat and risk on
-every grid point.
+run_pipeline call. compute_svd is called as run_pipeline calls it: for the
+singular values the automatic threshold rule reads, on a tree whose
+estimation module has _values_read, and for all of them otherwise. Each
+timed call starts after a PAUSE_S sleep: numpy and scipy may each link
+their own OpenBLAS, whose worker threads spin for a while after a call, and
+a call timed right after one on the other library would pay for that spin.
+Each repeat runs in a fresh process per tree, after one untimed warm-up
+pipeline run, and the tree that runs first alternates between repeats.
+The base tree's src/ is extracted with `git archive`. The script fails
+unless both trees return the same labels, k_hat and risk on every grid
+point.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GRID = ((15, 180, 0.4), (40, 600, 0.5), (40, 1000, 0.3), (50, 2000, 0.6), (100, 2000, 0.3))
 K, SIGMA, SEED = 3, 0.3, 2024
 TIMES = ("oracle_thin_svd_s", "compute_svd_s", "run_pipeline_s")
+PAUSE_S = 0.5
 
 
 def _git(*args) -> str:
@@ -53,7 +60,8 @@ def worker(src: str) -> None:
     import numpy as np
 
     from oracles import oracle_thin_svd
-    from rankmix.estimation import ObservationMatrix, compute_svd
+    from rankmix import estimation
+    from rankmix.estimation import ObservationMatrix
     from rankmix.generators import ComponentSpec, MixtureSpec, mask, normal_utilities, sample_mixture
     from rankmix.pipeline import run_pipeline
 
@@ -66,15 +74,19 @@ def worker(src: str) -> None:
 
     n, N, p = GRID[0]  # warm-up: first calls pay for lazy imports and BLAS thread start
     run_pipeline(spec_of(n), N=N, p=p, seed=SEED)
+    values_read = getattr(estimation, "_values_read", None)  # absent before the top-K eigensolve
     out = {}
     for n, N, p in GRID:
         spec = spec_of(n)
         obs = ObservationMatrix.from_samples(mask(sample_mixture(spec, N, SEED), p, SEED))
+        top = {} if values_read is None else {"top": values_read(obs.N, obs.d, None)}
         times = []
-        for fn in (oracle_thin_svd, compute_svd):
+        for fn, kwargs in ((oracle_thin_svd, {}), (estimation.compute_svd, top)):
+            time.sleep(PAUSE_S)
             start = time.perf_counter()
-            fn(obs.values)
+            fn(obs.values, **kwargs)
             times.append(time.perf_counter() - start)
+        time.sleep(PAUSE_S)
         start = time.perf_counter()
         result = run_pipeline(spec, N=N, p=p, seed=SEED)
         times.append(time.perf_counter() - start)
@@ -132,19 +144,26 @@ def main(argv=None) -> int:
         grid.append(point)
 
     import numpy
+    import scipy
 
-    blas = numpy.__config__.CONFIG["Build Dependencies"]["blas"]
+    def blas(config):
+        dep = config["Build Dependencies"]["blas"]
+        return f"{dep.get('name')} {dep.get('version')}"
+
     report = {
         "what": f"median wall seconds over {args.repeats} repeats; inputs: {K}-component Gaussian "
-                f"mixture, sigma {SIGMA}, seed {SEED}; labels, k_hat and risk equal on both trees",
+                f"mixture, sigma {SIGMA}, seed {SEED}; labels, k_hat and risk equal on both trees; "
+                "compute_svd_s is the call run_pipeline makes (auto threshold rule, no rank hint)",
         "environment": {
             "host": platform.node(),
             "machine": platform.machine(),
             "nproc": len(os.sched_getaffinity(0)),
-            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas": blas(numpy.__config__.CONFIG),
+            "scipy_blas": blas(scipy.__config__.CONFIG),
             "blas_threads": int(threads),
             "python": platform.python_version(),
             "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
         },
         "base": {"rev": args.base, "git_sha": _git("rev-parse", args.base).strip(),
                  "source_sha256": digests["base"]},

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .clustering import single_linkage
-from .estimation import ObservationMatrix, compute_svd, hsvt, select_threshold
+from .estimation import ObservationMatrix, _values_read, compute_svd, hsvt, select_threshold
 from .evaluation import empirical_tau, misclassification_rate
 from .experiments import EXPERIMENTS, ExperimentConfig, default_config, run_experiment
 from .fileio import (
@@ -41,7 +41,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_denoise(args) -> int:
     obs = ObservationMatrix.from_dense(read_matrix(args.infile))
-    svd = compute_svd(obs)
+    top = max(_values_read(obs.N, obs.d, args.rank), min(TOP_SINGULAR_VALUES, obs.N, obs.d))
+    svd = compute_svd(obs, top=top)  # enough values for the rule and for the .meta listing
     threshold = select_threshold(svd, target_rank=args.rank)
     estimate = hsvt(obs, threshold, svd=svd)
     write_matrix(args.out, estimate.m_hat)

@@ -9,10 +9,17 @@ sigma_j > t1), and rescales by the estimated observation probability:
     m_hat = (1/p_hat) * sum_{sigma_j > t1} sigma_j u_j v_j^T,
     p_hat = max(#nonzero, 1) / (N*d).
 
-The SVD comes from one symmetric eigendecomposition (np.linalg.eigh) of the
-min(N, d)-square Gram matrix of Y, which gives every singular value, not
-only the kept ones, at a fraction of the cost of LAPACK's bidiagonal SVD;
-SvdResult states the accuracy this gives.
+The SVD comes from one symmetric eigensolve of the min(N, d)-square Gram
+matrix of Y, at a fraction of the cost of LAPACK's bidiagonal SVD, and only
+for the leading singular triples the threshold rule reads: compute_svd's
+top, which the pipeline sets to _values_read (ceil(sqrt(min(N, d))) + 1
+without a rank hint, r + 1 with one) and which defaults to all min(N, d).
+The Gram product and the eigensolve both run on scipy's BLAS. numpy and
+scipy may each link their own OpenBLAS, each with its own thread pool, and
+handing the work from one pool to the other between those two calls costs
+more than the half-size Gram product saves. CLI denoise asks for
+at least 20 values, so its .meta sidecar still lists the top 20. SvdResult
+states the accuracy this gives.
 
 The estimate is held as its rank-r factors, left = U_r S_r and Vt = V_r^T,
 and the dense N x d m_hat is built only on demand. Because V_r has
@@ -33,6 +40,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh
+from scipy.linalg.blas import dsyrk
 
 from .rankings import _check_masked_embedding, _integer_values
 
@@ -78,15 +87,21 @@ class ObservationMatrix:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD: Y = U @ diag(singular_values) @ Vt, values nonincreasing.
+    """The leading k singular triples of Y, values nonincreasing: with
+    k = min(N, d) the thin SVD, Y = U @ diag(singular_values) @ Vt; with
+    fewer (compute_svd's top) the best rank-k approximation. A truncated
+    result says nothing about the values it does not hold, so select_threshold
+    and hsvt raise rather than read past singular_values[-1].
 
     Accuracy of compute_svd's Gram route, which squares the condition number:
     sigma_j carries an absolute error of about eps * sigma_1^2 / sigma_j
     (eps = 2.2e-16). Values well above sqrt(eps) * sigma_1 are accurate to
     near machine precision; values below about sqrt(eps) * sigma_1
     (1.5e-8 sigma_1) are noise, and a negative eigenvalue gives sigma_j = 0.
-    The eigenvector side (Vt when N >= d, U when N < d) is orthonormal; on
-    the other side, the vector of a zero sigma_j is a zero column.
+    The eigenvector side (Vt when N >= d, U when N < d) is orthonormal to
+    rounding. On the other side the vector of a zero sigma_j is a zero
+    column, and the others are orthonormal to about eps * sigma_1^2 /
+    (sigma_i * sigma_j).
     """
 
     singular_values: np.ndarray
@@ -141,21 +156,37 @@ def estimate_p_hat(obs: ObservationMatrix) -> float:
     return max(int(np.count_nonzero(obs.values)), 1) / obs.values.size
 
 
-def compute_svd(y) -> SvdResult:
-    """Thin SVD of an observation matrix (or finite plain array) from one
-    symmetric eigendecomposition of its smaller Gram matrix.
+def compute_svd(y, top: int | None = None) -> SvdResult:
+    """Leading `top` singular triples of an observation matrix (or finite
+    plain array) from one symmetric eigensolve of its smaller Gram matrix.
 
-    With a = Y (or Y^T when N < d), eigh(a^T a) gives the right singular
-    vectors of a and sigma_j^2; the other side is a v_j / sigma_j, and a zero
-    column where sigma_j = 0. See SvdResult for the accuracy this gives.
+    top is an integer in [1, min(N, d)] (ValueError otherwise) and defaults
+    to min(N, d), the whole thin SVD. With a = Y (or Y^T when N < d), the
+    upper triangle of a^T a comes from BLAS syrk, and LAPACK's syevr returns
+    only its top eigenpairs, the right singular vectors of a and sigma_j^2
+    (MRRR over the whole index range, bisection and inverse iteration over
+    part of it). Both calls go through scipy's BLAS, which may be another
+    library than numpy's: keeping them on one keeps them on one BLAS thread
+    pool. The other side is the top back-products a v_j / sigma_j, and a zero
+    column where sigma_j = 0. eigh skips its finiteness check, since
+    ObservationMatrix and plain arrays are refused unless finite. See
+    SvdResult for the accuracy this gives.
     """
     values = _as_matrix(y)
     wide = values.shape[0] < values.shape[1]
-    a = values.T if wide else values
-    eigenvalues, v = np.linalg.eigh(a.T @ a)
+    m = min(values.shape)
+    top = m if top is None else int(_integer_values(top, "top"))
+    if not 1 <= top <= m:
+        raise ValueError(f"top must lie in [1, {m}], got {top}")
+    # values.T is an F-ordered view of a C-ordered matrix, so it reaches BLAS uncopied;
+    # syrk fills the upper triangle of a^T a, which is all that eigh reads
+    gram = dsyrk(1.0, values.T, trans=int(wide))
+    eigenvalues, v = eigh(
+        gram, lower=False, subset_by_index=[m - top, m - 1], driver="evr", overwrite_a=True, check_finite=False
+    )
     s = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
     v = np.ascontiguousarray(v[:, ::-1])  # descending order, BLAS-friendly strides
-    w = a @ v
+    w = (values.T if wide else values) @ v
     np.divide(w, s, out=w, where=s > 0)
     w[:, s == 0] = 0.0
     return SvdResult(s, v, w.T) if wide else SvdResult(s, w, v.T)
@@ -181,9 +212,35 @@ def hsvt(y, threshold: float, svd: SvdResult | None = None, p_hat: float | None 
     elif (svd.N, svd.d) != values.shape:
         raise ValueError(f"svd is of a {svd.N}x{svd.d} matrix, y is {values.shape}")
     s = svd.singular_values
+    if s.size < min(svd.N, svd.d) and threshold < s[-1]:
+        raise ValueError(
+            f"threshold {threshold} is below the smallest of the {s.size} singular values the svd holds, "
+            "so components it does not hold might pass it"
+        )
     kept = s > threshold
     kept_rank = int(np.count_nonzero(kept))
     return HsvtEstimate(svd.U[:, kept] * s[kept], svd.Vt[kept], kept_rank, float(threshold), float(p_hat))
+
+
+def _target_rank(target_rank, m: int) -> int:
+    """target_rank as an int in [1, m]; 2.7, NaN, inf, 0 and m + 1 raise."""
+    r = int(_integer_values(target_rank, "target_rank"))
+    if not (1 <= r <= m):
+        raise ValueError(f"target_rank must lie in [1, {m}], got {target_rank}")
+    return r
+
+
+def _values_read(N: int, d: int, target_rank=None) -> int:
+    """How many leading singular values select_threshold reads for an N x d
+    matrix: r + 1 (at most min(N, d)) for a target rank r, and
+    min(m - 1, ceil(sqrt(m))) + 1 with m = min(N, d) without one."""
+    m = min(N, d)
+    if target_rank is None:
+        return min(m - 1, math.ceil(math.sqrt(m))) + 1
+    try:
+        return min(_target_rank(target_rank, m) + 1, m)
+    except ValueError:  # select_threshold refuses the hint itself, once the svd is done
+        return m
 
 
 def select_threshold(svd: SvdResult, target_rank: int | None = None) -> float:
@@ -191,21 +248,24 @@ def select_threshold(svd: SvdResult, target_rank: int | None = None) -> float:
 
     With a target rank r (an integer value; 2.7, NaN and inf raise) the
     threshold is the midpoint (sigma_r + sigma_{r+1})/2, taking sigma beyond
-    the spectrum as 0, so exactly r components survive. Without one, r is
-    chosen as the largest relative gap sigma_j/sigma_{j+1} over
-    j <= ceil(sqrt(min(N, d))) -- the cap keeps noise-floor ratios out of the
-    search -- and the same midpoint applies.
+    a full spectrum (r = min(N, d)) as 0, so exactly r components survive.
+    Without one, r is chosen as the largest relative gap sigma_j/sigma_{j+1}
+    over j <= ceil(sqrt(min(N, d))) -- the cap keeps noise-floor ratios out
+    of the search -- and the same midpoint applies. Raises ValueError when a
+    truncated svd (from compute_svd's top) holds fewer values than the rule
+    reads (_values_read).
     """
     s = svd.singular_values
-    m = s.size
+    m = min(svd.N, svd.d)
     if m < 2:
         raise ValueError("need at least 2 singular values to place a threshold")
     if target_rank is not None:
-        r = int(_integer_values(target_rank, "target_rank"))
-        if not (1 <= r <= m):
-            raise ValueError(f"target_rank must lie in [1, {m}], got {target_rank}")
-    else:
-        j_max = min(m - 1, math.ceil(math.sqrt(min(svd.N, svd.d))))
+        r = _target_rank(target_rank, m)
+    reads = _values_read(svd.N, svd.d, target_rank)
+    if s.size < reads:
+        raise ValueError(f"the threshold rule reads {reads} singular values, the svd holds {s.size} of {m}")
+    if target_rank is None:
+        j_max = reads - 1
         with np.errstate(divide="ignore"):
             ratios = np.where(s[1 : j_max + 1] > 0, s[:j_max] / s[1 : j_max + 1], np.inf)
         r = int(np.argmax(ratios)) + 1

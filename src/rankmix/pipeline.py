@@ -17,7 +17,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .clustering import ClusteringResult, single_linkage
-from .estimation import HsvtEstimate, ObservationMatrix, SvdResult, compute_svd, hsvt, select_threshold
+from .estimation import (
+    HsvtEstimate,
+    ObservationMatrix,
+    SvdResult,
+    _values_read,
+    compute_svd,
+    hsvt,
+    select_threshold,
+)
 from .evaluation import EvaluationReport, misclassification_rate, separation_gamma
 from .generators import MixtureSpec, SampleBatch, cluster_mean, mask, sample_mixture
 
@@ -67,7 +75,7 @@ def run_pipeline_samples(batch: SampleBatch, exact_means=None, rank_hint: int | 
     with _stage("stack"):
         obs = ObservationMatrix.from_samples(batch)
     with _stage("svd"):
-        svd = compute_svd(obs)
+        svd = compute_svd(obs, top=_values_read(obs.N, obs.d, rank_hint))
     with _stage("select_t1"):
         t1 = select_threshold(svd, target_rank=rank_hint)
     with _stage("hsvt"):

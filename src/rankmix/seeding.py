@@ -6,9 +6,9 @@ an experiment cell's seed) derives its own generator or seed from
 (master, *path) so that any part of a run can be reproduced in isolation.
 
 Row randomness has one source: ``_keyed_uniforms`` addresses a row's
-uniforms by (seed, tag, row id) through one Philox4x64-10 block per run of
-consecutive row ids, with no per-row generator, so a row can be regenerated
-alone and row order never bleeds into row randomness.
+uniforms by (seed, tag, row id) as Philox4x64-10 counters, with no per-row
+generator, so a row can be regenerated alone and row order never bleeds
+into row randomness.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ TAG_DIRECTIONS = 3
 TAG_UTILITIES = 4
 TAG_SIZES = 5
 TAG_TRIAL = 7
+
+_WORD = 2**64 - 1
 
 
 def _seed(value) -> int:
@@ -58,9 +60,10 @@ def _keyed_uniforms(seed: int, tag: int, row_ids, width: int) -> np.ndarray:
     The Philox4x64-10 key is ``SeedSequence([seed, tag]).generate_state(2,
     uint64)``. With q = ceil(width / 4), row id i owns the counters
     i*q + 1 .. i*q + q; their 4q raw words, first ``width`` kept, are the
-    row's. Each run of consecutive sorted ids is one ``random_raw`` call. A
-    raw word x becomes ((x >> 12) + 0.5) * 2**-52: exact in float64 and
-    inside [2**-53, 1 - 2**-53]. (53 bits plus 0.5 would need 54 bits of
+    row's. One Philox serves the call: its counter is set at the start of
+    each run of consecutive sorted ids, and the run is one ``random_raw``
+    call. A raw word x becomes ((x >> 12) + 0.5) * 2**-52: exact in float64
+    and inside [2**-53, 1 - 2**-53]. (53 bits plus 0.5 would need 54 bits of
     mantissa, and the top word would round to exactly 1.) The stream depends
     only on the bit generator, whose output NumPy keeps stable (NEP 19).
     """
@@ -73,8 +76,13 @@ def _keyed_uniforms(seed: int, tag: int, row_ids, width: int) -> np.ndarray:
     # non-negative, so the prepended -2 never continues a run
     starts = np.flatnonzero(np.diff(sorted_ids, prepend=-2) != 1)
     raw = np.empty((ids.size, 4 * q), dtype=np.uint64)
+    # one generator per call: constructing one costs an OS-entropy SeedSequence it never uses
+    philox = np.random.Philox(key=key)
+    state = philox.state  # buffer_pos 4: after each set, the next draw starts a fresh block
     for start, stop in zip(starts, np.append(starts[1:], ids.size)):
-        philox = np.random.Philox(key=key, counter=int(sorted_ids[start]) * q)
+        counter = int(sorted_ids[start]) * q
+        state["state"]["counter"] = np.array([(counter >> s) & _WORD for s in (0, 64, 128, 192)], dtype=np.uint64)
+        philox.state = state
         raw[start:stop] = philox.random_raw((stop - start, 4 * q))
     raw >>= np.uint64(12)
     uniforms = raw[:, :width].astype(float)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.spatial.distance import pdist
 
 from rankmix.estimation import (
     ObservationMatrix,
+    _values_read,
     compute_svd,
     delta_bound,
     estimate_p_hat,
@@ -97,14 +99,23 @@ def test_svd_contract():
     rng = np.random.default_rng(5)
     for shape in ((20, 12), (12, 20)):  # tall, then wide (decomposed through Y^T)
         y = rng.normal(size=shape)
-        svd = compute_svd(y)
-        s = svd.singular_values
-        assert svd.U.shape == (shape[0], 12) and svd.Vt.shape == (12, shape[1])
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-        assert np.allclose(svd.U.T @ svd.U, np.eye(12), atol=1e-8)
-        assert np.allclose(svd.Vt @ svd.Vt.T, np.eye(12), atol=1e-8)
-        recon = (svd.U * s) @ svd.Vt
-        assert np.linalg.norm(y - recon) / np.linalg.norm(y) <= 1e-8
+        full = compute_svd(y)
+        for top in (None, 12, 5, 1):
+            svd = compute_svd(y, top=top)
+            k = 12 if top is None else top
+            s = svd.singular_values
+            assert svd.U.shape == (shape[0], k) and svd.Vt.shape == (k, shape[1])
+            assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+            assert np.allclose(svd.U.T @ svd.U, np.eye(k), atol=1e-8)
+            assert np.allclose(svd.Vt @ svd.Vt.T, np.eye(k), atol=1e-8)
+            assert np.allclose(s, full.singular_values[:k], rtol=1e-12, atol=0)
+            # the leading k triples are the best rank-k approximation
+            recon = (svd.U * s) @ svd.Vt
+            want = np.sqrt((full.singular_values[k:] ** 2).sum())
+            assert abs(np.linalg.norm(y - recon) - want) <= 1e-8 * np.linalg.norm(y)
+        for bad in (0, 13, -1, 2.5, np.nan):
+            with pytest.raises(ValueError, match="top"):
+                compute_svd(y, top=bad)
 
 
 def _matrix_of_kind(kind, N, d, seed, scale):
@@ -169,6 +180,103 @@ def test_gram_svd_matches_lapack(kind, N, d, seed, scale):
             want = pdist(u[:, :r] * o[:r])
             assert np.allclose(pdist(est.coords), want, rtol=0, atol=tol * np.linalg.norm(y))
     assert not caught
+
+
+def _top_k_matrix(kind, N, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "tall":
+        return rng.normal(size=(max(N, d), min(N, d)))
+    if kind == "wide":
+        return rng.normal(size=(min(N, d), max(N, d)))
+    if kind == "rank_deficient":  # rank at most 3: past sigma_3 lies the noise floor
+        return rng.normal(size=(N, 3)) @ rng.normal(size=(3, d))
+    # integer_tied: b copies of a small integer block down the diagonal, rows and
+    # columns shuffled, so every singular value of the block comes b times
+    b = int(rng.integers(2, 4))
+    block = rng.integers(-2, 3, size=(max(1, N // b), max(1, d // b))).astype(float)
+    y = np.kron(np.eye(b), block)
+    return y[rng.permutation(y.shape[0])][:, rng.permutation(y.shape[1])]
+
+
+def _value_error(o):
+    """SvdResult's stated bound on |sigma_j - sigma_j*|: _GRAM_C sigma_1^2 / sigma_j*,
+    at most sqrt(_GRAM_C) sigma_1 (the noise floor)."""
+    return _GRAM_C * o[0] ** 2 / np.maximum(o, np.sqrt(_GRAM_C) * o[0])
+
+
+def _matches_up_to_sign(got, want, tol):
+    sign = np.where(np.sum(got * want, axis=0) < 0, -1.0, 1.0)
+    return np.abs(got * sign - want).max() <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["tall", "wide", "rank_deficient", "integer_tied"]),
+    st.integers(2, 30),
+    st.integers(2, 30),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_top_k_svd_matches_lapack(kind, N, d, seed, data):
+    y = _top_k_matrix(kind, N, d, seed)
+    m = min(y.shape)
+    k = data.draw(st.integers(1, m), label="top")
+    svd = compute_svd(y, top=k)
+    full = compute_svd(y)
+    u, o, vt = oracle_thin_svd(y)
+    s = svd.singular_values
+    assert svd.U.shape == (y.shape[0], k) and svd.Vt.shape == (k, y.shape[1])
+    assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+    # the eigenvector side is orthonormal to 1e-12; on the back-product side the
+    # column of a zero sigma_j is 0 and the others are orthonormal to the Gram bound
+    tall = y.shape[0] >= y.shape[1]
+    eig_side, back_side = (svd.Vt.T, svd.U) if tall else (svd.U, svd.Vt.T)
+    assert np.abs(eig_side.T @ eig_side - np.eye(k)).max() <= 1e-12
+    assert not back_side[:, s == 0].any()
+    if o[0] == 0:
+        assert not s.any()
+        return
+    err = _value_error(o)
+    assert np.all(np.abs(s - o[:k]) <= err[:k])
+    nz = s > 0
+    gram = back_side[:, nz].T @ back_side[:, nz]
+    bound = 1e-12 + _GRAM_C * o[0] ** 2 / np.outer(s[nz], s[nz])
+    assert np.all(np.abs(gram - np.eye(int(nz.sum()))) <= bound)
+
+    # column by column up to sign, wherever sigma_j is separated from its neighbours
+    sq = o**2
+    for j in range(k):
+        gap = min(sq[j - 1] - sq[j] if j else np.inf, sq[j] - sq[j + 1] if j + 1 < m else np.inf)
+        tol = 1e-12 + _GRAM_C * sq[0] / gap if gap > 0 else np.inf
+        if tol > 1e-6:
+            continue
+        assert _matches_up_to_sign(svd.Vt[j : j + 1].T, vt[j : j + 1].T, tol if tall else 2 * tol * o[0] / o[j])
+        assert _matches_up_to_sign(svd.U[:, j : j + 1], u[:, j : j + 1], 2 * tol * o[0] / o[j] if tall else tol)
+
+    # the threshold rule and the kept coordinates equal the top=None route
+    def same_cut(r, t_top, t_full):
+        assert abs(t_top - t_full) <= err[r - 1] + err[r]
+        tol = 1e-10 + _GRAM_C * sq[0] / (sq[r - 1] - sq[r]) if sq[r - 1] > sq[r] else np.inf
+        if tol <= 1e-6:
+            a, b = hsvt(y, t_top, svd=svd), hsvt(y, t_full, svd=full)
+            assert a.kept_rank == b.kept_rank == r
+            assert np.allclose(pdist(a.coords), pdist(b.coords), rtol=0, atol=tol * np.linalg.norm(y))
+
+    for r in range(1, k):
+        same_cut(r, select_threshold(svd, target_rank=r), select_threshold(full, target_rank=r))
+    reads = min(m - 1, math.ceil(math.sqrt(m))) + 1
+    if k < reads and k < m:
+        with pytest.raises(ValueError, match=f"reads {reads} singular values, the svd holds {k} of {m}"):
+            select_threshold(svd)
+        return
+    # the largest-ratio choice is determined when every ratio interval allowed by
+    # the value bound lies below the best one's
+    lo = (o[: reads - 1] - err[: reads - 1]) / (o[1:reads] + err[1:reads])
+    with np.errstate(divide="ignore"):
+        hi = (o[: reads - 1] + err[: reads - 1]) / np.maximum(o[1:reads] - err[1:reads], 0)
+    best = int(np.argmax(lo))
+    if lo[best] > np.delete(hi, best).max(initial=0):
+        same_cut(best + 1, select_threshold(svd), select_threshold(full))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -297,6 +405,37 @@ def test_select_threshold_errors():
         select_threshold(compute_svd(y2), target_rank=3)
     with pytest.raises(ValueError):
         select_threshold(compute_svd(y2), target_rank=0)
+
+
+def test_select_threshold_refuses_a_truncated_svd_too_short_for_its_rule():
+    y = np.random.default_rng(6).normal(size=(40, 30))  # auto mode reads min(29, ceil(sqrt(30))) + 1 = 7
+    full, top5 = compute_svd(y), compute_svd(y, top=5)
+    with pytest.raises(ValueError, match="reads 7 singular values, the svd holds 5 of 30"):
+        select_threshold(top5)
+    with pytest.raises(ValueError, match="reads 6 singular values, the svd holds 5 of 30"):
+        select_threshold(top5, target_rank=5)  # sigma_6 is not held, and not 0
+    assert select_threshold(top5, target_rank=4) == pytest.approx(select_threshold(full, target_rank=4), rel=1e-12)
+    assert select_threshold(compute_svd(y, top=7)) == pytest.approx(select_threshold(full), rel=1e-12)
+    assert select_threshold(full, target_rank=30) == full.singular_values[-1] / 2  # a full spectrum ends in 0
+
+
+def test_values_read_counts_what_select_threshold_reads():
+    assert _values_read(1000, 780, None) == 29  # ceil(sqrt(780)) + 1
+    assert _values_read(40, 30, 4) == 5
+    assert _values_read(40, 30, 30) == 30  # r = min(N, d) reads no sigma_{r+1}
+    for refused in (2.7, 0, 31, np.nan):  # select_threshold's own check refuses these
+        assert _values_read(40, 30, refused) == 30
+
+
+def test_hsvt_refuses_a_threshold_below_a_truncated_spectrum():
+    y = np.random.default_rng(7).normal(size=(40, 30))
+    svd = compute_svd(y, top=5)
+    s = svd.singular_values
+    with pytest.raises(ValueError, match="below the smallest of the 5 singular values"):
+        hsvt(y, 0.99 * s[-1], svd=svd)  # sigma_6 might pass it, and the svd lacks it
+    # at sigma_5 itself nothing unheld can pass, since sigma_6 <= sigma_5
+    assert hsvt(y, s[-1], svd=svd).kept_rank == 4
+    assert hsvt(y, 0.99 * s[-1], svd=compute_svd(y)).kept_rank >= 5  # a full spectrum is never refused
 
 
 @pytest.mark.parametrize("bad", [2.7, np.nan, np.inf, -np.inf])

@@ -552,6 +552,16 @@ def test_keyed_uniforms_follow_the_counter_contract(ids, width, seed):
     assert np.array_equal(mask(batch, 1.0, seed).values, values)
 
 
+def test_keyed_uniforms_of_scattered_row_ids_match_the_oracle():
+    # every id is its own run, in shuffled order, so the counter is set once per row;
+    # for 2**62 + 3 and 2**63 - 1 the counter id * q needs a second 64-bit word once q > 1
+    ids = np.array([5, 2**62 + 3, 0, 17, 2**40, 9, 2, 2**63 - 1, 11, 7])
+    for width in (1, 4, 13):
+        uniforms = _keyed_uniforms(3, TAG_MASK, ids, width)
+        for row, row_id in zip(uniforms, ids):
+            assert row.tolist() == oracle_keyed_uniforms(3, TAG_MASK, row_id, width)
+
+
 # ------------------------------------------------------------------- helpers
 
 def test_utility_helpers():

@@ -81,6 +81,9 @@ def test_rank_hint_controls_kept_rank():
     result = run_pipeline(spec, N=200, p=1.0, seed=7, rank_hint=4)
     assert result.estimate.kept_rank == 4
     assert result.evaluation.risk == 0.0
+    assert result.svd.singular_values.size == 5  # the rule reads sigma_1 .. sigma_5 only
+    auto = run_pipeline(spec, N=200, p=1.0, seed=7)
+    assert auto.svd.singular_values.size == 15  # ceil(sqrt(min(200, 190))) + 1
 
 
 def test_fractional_rank_hint_rejected():
