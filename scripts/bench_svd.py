@@ -1,23 +1,24 @@
-"""Time the HSVT decomposition and whole pipeline runs at a base revision and
-at the working tree, and write the medians to a JSON file.
+"""Time the row kernels, the HSVT decomposition and whole pipeline runs at a
+base revision and at the working tree, and write the medians to a JSON file.
 
     python scripts/bench_svd.py [--base REV] [--repeats 5] [--out BENCH_gram_svd.json]
 
 Every (n, N, p) of the grid is a 3-component Gaussian mixture (sigma 0.3)
 with the same spec and seed on both trees. For each one a repeat measures,
-with time.perf_counter: LAPACK's thin SVD (tests/oracles.py::oracle_thin_svd)
-and rankmix's compute_svd on the same observation matrix, and one
-run_pipeline call. compute_svd is called as run_pipeline calls it: for the
-singular values the automatic threshold rule reads, on a tree whose
-estimation module has _values_read, and for all of them otherwise. Each
+with time.perf_counter: sample_mixture of the N rows and mask of them at p,
+LAPACK's thin SVD (tests/oracles.py::oracle_thin_svd) of the masked matrix,
+rankmix's compute_svd of it as an ObservationMatrix, and one run_pipeline
+call. compute_svd is called as run_pipeline calls it: for the singular
+values the automatic threshold rule reads, on a tree whose estimation
+module has _values_read, and for all of them otherwise. Each
 timed call starts after a PAUSE_S sleep: numpy and scipy may each link
 their own OpenBLAS, whose worker threads spin for a while after a call, and
 a call timed right after one on the other library would pay for that spin.
 Each repeat runs in a fresh process per tree, after one untimed warm-up
 pipeline run, and the tree that runs first alternates between repeats.
 The base tree's src/ is extracted with `git archive`. The script fails
-unless both trees return the same labels, k_hat and risk on every grid
-point.
+unless both trees sample and mask the same bytes and return the same labels,
+k_hat and risk on every grid point.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GRID = ((15, 180, 0.4), (40, 600, 0.5), (40, 1000, 0.3), (50, 2000, 0.6), (100, 2000, 0.3))
 K, SIGMA, SEED = 3, 0.3, 2024
-TIMES = ("oracle_thin_svd_s", "compute_svd_s", "run_pipeline_s")
+TIMES = ("sample_mixture_s", "mask_s", "oracle_thin_svd_s", "compute_svd_s", "run_pipeline_s")
+OUTCOMES = ("sample_sha256", "mask_sha256", "labels_sha256", "k_hat", "risk")
 PAUSE_S = 0.5
 
 
@@ -76,24 +78,33 @@ def worker(src: str) -> None:
     run_pipeline(spec_of(n), N=N, p=p, seed=SEED)
     values_read = getattr(estimation, "_values_read", None)  # absent before the top-K eigensolve
     out = {}
-    for n, N, p in GRID:
-        spec = spec_of(n)
-        obs = ObservationMatrix.from_samples(mask(sample_mixture(spec, N, SEED), p, SEED))
-        top = {} if values_read is None else {"top": values_read(obs.N, obs.d, None)}
-        times = []
-        for fn, kwargs in ((oracle_thin_svd, {}), (estimation.compute_svd, top)):
-            time.sleep(PAUSE_S)
-            start = time.perf_counter()
-            fn(obs.values, **kwargs)
-            times.append(time.perf_counter() - start)
+
+    def timed(fn, *args, **kwargs):
         time.sleep(PAUSE_S)
         start = time.perf_counter()
-        result = run_pipeline(spec, N=N, p=p, seed=SEED)
+        result = fn(*args, **kwargs)
         times.append(time.perf_counter() - start)
-        labels = np.ascontiguousarray(result.clustering.labels, dtype=np.int64)
+        return result
+
+    def sha256(array):
+        return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+    for n, N, p in GRID:
+        spec = spec_of(n)
+        times = []
+        sampled = timed(sample_mixture, spec, N, SEED)
+        masked = timed(mask, sampled, p, SEED)
+        obs = ObservationMatrix.from_samples(masked)
+        top = {} if values_read is None else {"top": values_read(obs.N, obs.d, None)}
+        timed(oracle_thin_svd, obs.values)
+        timed(estimation.compute_svd, obs, **top)
+        result = timed(run_pipeline, spec, N=N, p=p, seed=SEED)
+        labels = np.asarray(result.clustering.labels, dtype=np.int64)
         out[f"{n},{N},{p}"] = dict(
             zip(TIMES, times),
-            labels_sha256=hashlib.sha256(labels.tobytes()).hexdigest(),
+            sample_sha256=sha256(sampled.values),
+            mask_sha256=sha256(masked.values),
+            labels_sha256=sha256(labels),
             k_hat=result.clustering.k_hat,
             risk=result.evaluation.risk,
         )
@@ -137,10 +148,10 @@ def main(argv=None) -> int:
         for name in trees:
             samples = [run[key] for run in runs[name]]
             point[name] = {t: statistics.median(s[t] for s in samples) for t in TIMES}
-            outcomes |= {(s["labels_sha256"], s["k_hat"], s["risk"]) for s in samples}
+            outcomes |= {tuple(s[o] for o in OUTCOMES) for s in samples}
         if len(outcomes) != 1:
-            raise SystemExit(f"base and change disagree on labels, k_hat or risk at n,N,p = {key}")
-        point["k_hat"], point["risk"] = next(iter(outcomes))[1:]
+            raise SystemExit(f"base and change disagree on samples, masks, labels, k_hat or risk at n,N,p = {key}")
+        point.update(zip(OUTCOMES, next(iter(outcomes))))
         grid.append(point)
 
     import numpy
@@ -152,8 +163,9 @@ def main(argv=None) -> int:
 
     report = {
         "what": f"median wall seconds over {args.repeats} repeats; inputs: {K}-component Gaussian "
-                f"mixture, sigma {SIGMA}, seed {SEED}; labels, k_hat and risk equal on both trees; "
-                "compute_svd_s is the call run_pipeline makes (auto threshold rule, no rank hint)",
+                f"mixture, sigma {SIGMA}, seed {SEED}; sampled and masked values, labels, k_hat and "
+                "risk equal on both trees; compute_svd_s is the call run_pipeline makes (auto "
+                "threshold rule, no rank hint)",
         "environment": {
             "host": platform.node(),
             "machine": platform.machine(),
@@ -175,8 +187,8 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for point in grid:
         b, c = point["base"], point["change"]
-        print(f"n={point['n']:>3} N={point['N']:>4} p={point['p']}: compute_svd {b['compute_svd_s']:.3f} -> "
-              f"{c['compute_svd_s']:.3f} s, run_pipeline {b['run_pipeline_s']:.3f} -> {c['run_pipeline_s']:.3f} s")
+        print(f"n={point['n']:>3} N={point['N']:>4} p={point['p']}: "
+              + ", ".join(f"{t[:-2]} {b[t]:.4f} -> {c[t]:.4f} s" for t in TIMES if t != "oracle_thin_svd_s"))
     return 0
 
 

@@ -25,6 +25,7 @@ from .fileio import (
     write_key_values,
     write_labels,
     write_matrix,
+    write_observations,
 )
 from .generators import mask, sample_mixture
 
@@ -34,7 +35,7 @@ TOP_SINGULAR_VALUES = 20
 def _cmd_generate(args) -> int:
     spec = read_mixture_spec(args.spec)
     batch = mask(sample_mixture(spec, args.num, args.seed), args.p, args.seed)
-    write_matrix(args.out, np.where(batch.values == 0.0, np.nan, batch.values))  # 0 in memory, NA in files
+    write_observations(args.out, batch.values)  # 0 in memory, NA in files
     write_labels(args.out + ".labels", batch.labels)
     return 0
 

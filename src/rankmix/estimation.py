@@ -14,12 +14,12 @@ matrix of Y, at a fraction of the cost of LAPACK's bidiagonal SVD, and only
 for the leading singular triples the threshold rule reads: compute_svd's
 top, which the pipeline sets to _values_read (ceil(sqrt(min(N, d))) + 1
 without a rank hint, r + 1 with one) and which defaults to all min(N, d).
-The Gram product and the eigensolve both run on scipy's BLAS. numpy and
-scipy may each link their own OpenBLAS, each with its own thread pool, and
-handing the work from one pool to the other between those two calls costs
-more than the half-size Gram product saves. CLI denoise asks for
-at least 20 values, so its .meta sidecar still lists the top 20. SvdResult
-states the accuracy this gives.
+Every BLAS call, from the Gram product to the back-products and m_hat, runs
+on scipy's BLAS: numpy and scipy may each link their own OpenBLAS, each
+with its own thread pool, and work handed from one pool to the other pays
+for both. An ObservationMatrix's Gram product runs in float32 and is exact
+(see compute_svd). CLI denoise asks for at least 20 values, so its .meta
+sidecar still lists the top 20. SvdResult states the accuracy this gives.
 
 The estimate is held as its rank-r factors, left = U_r S_r and Vt = V_r^T,
 and the dense N x d m_hat is built only on demand. Because V_r has
@@ -41,9 +41,12 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dgemm, dsyrk, ssyrk
 
 from .rankings import _check_masked_embedding, _integer_values
+
+_FLOAT32_GRAM_MAX = 2**24
+_NOISE_FLOOR = math.sqrt(np.finfo(float).eps)  # relative to sigma_1; see SvdResult
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,14 @@ class HsvtEstimate:
 
     @cached_property
     def m_hat(self) -> np.ndarray:
-        """The dense N x d estimate, built on first access (zeros at rank 0)."""
-        return self.left @ self.Vt / self.p_hat
+        """The dense N x d estimate, built on first access (zeros at rank 0).
+
+        scipy's dgemm forms m_hat^T = Vt^T left^T in F order, which is m_hat
+        in C order; the F-ordered left and the C-ordered Vt that hsvt makes
+        reach it uncopied. The division by p_hat follows the product."""
+        m_hat = dgemm(1.0, self.Vt.T, self.left, trans_b=1).T
+        m_hat /= self.p_hat
+        return m_hat
 
 
 def _as_matrix(y) -> np.ndarray:
@@ -156,6 +165,16 @@ def estimate_p_hat(obs: ObservationMatrix) -> float:
     return max(int(np.count_nonzero(obs.values)), 1) / obs.values.size
 
 
+def _check_float32_gram(N: int, d: int) -> None:
+    """Raise unless the Gram matrix of an N x d observation matrix is exact
+    in float32: max(N, d) <= 2**24 (see compute_svd)."""
+    if max(N, d) > _FLOAT32_GRAM_MAX:
+        raise ValueError(
+            f"a {N}x{d} observation matrix is too large for an exact float32 Gram matrix: "
+            f"max(N, d) must be at most 2**24 = {_FLOAT32_GRAM_MAX}"
+        )
+
+
 def compute_svd(y, top: int | None = None) -> SvdResult:
     """Leading `top` singular triples of an observation matrix (or finite
     plain array) from one symmetric eigensolve of its smaller Gram matrix.
@@ -165,12 +184,18 @@ def compute_svd(y, top: int | None = None) -> SvdResult:
     upper triangle of a^T a comes from BLAS syrk, and LAPACK's syevr returns
     only its top eigenpairs, the right singular vectors of a and sigma_j^2
     (MRRR over the whole index range, bisection and inverse iteration over
-    part of it). Both calls go through scipy's BLAS, which may be another
-    library than numpy's: keeping them on one keeps them on one BLAS thread
-    pool. The other side is the top back-products a v_j / sigma_j, and a zero
-    column where sigma_j = 0. eigh skips its finiteness check, since
-    ObservationMatrix and plain arrays are refused unless finite. See
-    SvdResult for the accuracy this gives.
+    part of it). The other side is the top back-products a v_j / sigma_j from
+    BLAS gemm, and a zero column where sigma_j = 0. Every BLAS and LAPACK call
+    goes through scipy, whose BLAS may be another library than numpy's, each
+    with its own thread pool: one library keeps the route on one pool.
+
+    An ObservationMatrix's Gram matrix is formed by ssyrk on a float32 copy
+    and is exact: every product is 0 or +-1/4, so every partial sum, in any
+    order, is a multiple of 1/4 of magnitude at most max(N, d)/4 <= 2**22,
+    which float32's 24-bit significand holds. max(N, d) > 2**24 raises
+    ValueError; a plain array's Gram matrix comes from dsyrk. eigh skips its
+    finiteness check, since ObservationMatrix and plain arrays are refused
+    unless finite. See SvdResult for the accuracy this gives.
     """
     values = _as_matrix(y)
     wide = values.shape[0] < values.shape[1]
@@ -180,13 +205,17 @@ def compute_svd(y, top: int | None = None) -> SvdResult:
         raise ValueError(f"top must lie in [1, {m}], got {top}")
     # values.T is an F-ordered view of a C-ordered matrix, so it reaches BLAS uncopied;
     # syrk fills the upper triangle of a^T a, which is all that eigh reads
-    gram = dsyrk(1.0, values.T, trans=int(wide))
+    if isinstance(y, ObservationMatrix):
+        _check_float32_gram(*values.shape)
+        gram = ssyrk(1.0, values.astype(np.float32).T, trans=int(wide)).astype(float)
+    else:
+        gram = dsyrk(1.0, values.T, trans=int(wide))
     eigenvalues, v = eigh(
         gram, lower=False, subset_by_index=[m - top, m - 1], driver="evr", overwrite_a=True, check_finite=False
     )
     s = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
-    v = np.ascontiguousarray(v[:, ::-1])  # descending order, BLAS-friendly strides
-    w = (values.T if wide else values) @ v
+    v = np.asfortranarray(v[:, ::-1])  # descending order, in the layout gemm takes uncopied
+    w = dgemm(1.0, values.T, v, trans_a=int(not wide))  # a @ v
     np.divide(w, s, out=w, where=s > 0)
     w[:, s == 0] = 0.0
     return SvdResult(s, v, w.T) if wide else SvdResult(s, w, v.T)
@@ -251,9 +280,11 @@ def select_threshold(svd: SvdResult, target_rank: int | None = None) -> float:
     a full spectrum (r = min(N, d)) as 0, so exactly r components survive.
     Without one, r is chosen as the largest relative gap sigma_j/sigma_{j+1}
     over j <= ceil(sqrt(min(N, d))) -- the cap keeps noise-floor ratios out
-    of the search -- and the same midpoint applies. Raises ValueError when a
-    truncated svd (from compute_svd's top) holds fewer values than the rule
-    reads (_values_read).
+    of the search -- and the same midpoint applies. In that search a value at
+    or below the sqrt(eps) * sigma_1 noise floor of SvdResult counts as 0, so
+    the gap after the last value above it is infinite and 0/0 is no gap.
+    Raises ValueError when a truncated svd (from compute_svd's top) holds
+    fewer values than the rule reads (_values_read).
     """
     s = svd.singular_values
     m = min(svd.N, svd.d)
@@ -265,9 +296,10 @@ def select_threshold(svd: SvdResult, target_rank: int | None = None) -> float:
     if s.size < reads:
         raise ValueError(f"the threshold rule reads {reads} singular values, the svd holds {s.size} of {m}")
     if target_rank is None:
-        j_max = reads - 1
-        with np.errstate(divide="ignore"):
-            ratios = np.where(s[1 : j_max + 1] > 0, s[:j_max] / s[1 : j_max + 1], np.inf)
+        head = s[:reads]
+        head = head * (head > _NOISE_FLOOR * s[0])  # noise-floor values count as 0
+        num, den = head[:-1], head[1:]
+        ratios = np.divide(num, den, out=np.where(num > 0, np.inf, 0.0), where=den > 0)  # 0/0 is no gap
         r = int(np.argmax(ratios)) + 1
     nxt = s[r] if r < m else 0.0
     return float((s[r - 1] + nxt) / 2.0)

@@ -4,7 +4,9 @@ Three small formats, all line-oriented ASCII:
 
 * matrix: header line ``N d``, then N rows of entries with the literal
   token NA marking a missing value (NaN is written as NA; an infinite
-  value is refused before the file is opened, since no reader accepts it);
+  value is refused before the file is opened, since no reader accepts it).
+  write_observations writes the same format from an observation matrix
+  held in memory with 0 marking a missing value;
 * labels: one integer per line (integral floats and bools are written as
   integers; any other value is refused before the file is opened);
 * key=value: one pair per line (mixture specs, experiment configs, and the
@@ -20,7 +22,7 @@ import math
 import numpy as np
 
 from .generators import GAUSSIAN, MALLOWS, MNL, ComponentSpec, MixtureSpec
-from .rankings import Permutation, _integer_values
+from .rankings import Permutation, _check_masked_embedding, _integer_values
 
 _NOISE_KEY = {MNL: "beta", GAUSSIAN: "sigma", MALLOWS: "phi"}
 
@@ -45,6 +47,24 @@ def write_matrix(path, values) -> None:
         fh.write(f"{values.shape[0]} {values.shape[1]}\n")
         for row in values:
             fh.write(" ".join("NA" if math.isnan(v) else repr(v) for v in row.tolist()) + "\n")
+
+
+_OBSERVATION_TOKENS = np.array(["-0.5", "NA", "0.5"], dtype=object)  # repr(-0.5), missing, repr(0.5)
+
+
+def write_observations(path, values) -> None:
+    """Write an observation matrix held as +-1/2 with 0 marking a missing
+    entry, in the matrix format: the bytes write_matrix writes for the copy
+    with NA (NaN) in place of 0, through a three-token table."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError("matrix must be 2-d")
+    _check_masked_embedding(values)
+    tokens = _OBSERVATION_TOKENS[(values * 2.0 + 1.0).astype(np.intp)]  # -1/2, 0, +1/2 -> 0, 1, 2
+    with open(path, "w") as fh:
+        fh.write(f"{values.shape[0]} {values.shape[1]}\n")
+        for row in tokens.tolist():
+            fh.write(" ".join(row) + "\n")
 
 
 def read_matrix(path) -> np.ndarray:

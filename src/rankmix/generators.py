@@ -27,9 +27,9 @@ All row randomness is counter-keyed by (seed, tag, row id)
 (``seeding._keyed_uniforms``): row ell of a sample reads the n uniforms
 keyed by (seed, sample-tag) at row id ell, in ``sample_mixture`` and
 ``sample_embedded_batch`` alike, and ``mask`` reads row r's from (seed,
-mask-tag) at row id row_ids[r]. Mixture labels come from the (seed,
-labels-tag) substream. Any row can be regenerated alone and row order never
-changes row randomness.
+mask-tag) at row id row_ids[r], as raw words (``seeding._keyed_words``).
+Mixture labels come from the (seed, labels-tag) substream. Any row can be
+regenerated alone and row order never changes row randomness.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from scipy.special import ndtr, ndtri
 
 from .rankings import Permutation, _check_masked_embedding, _pairs, embed_positions
 from .rankings import embed  # noqa: F401 -- perfbench/spans.py wraps generators.embed, so it stays bound
-from .seeding import TAG_LABELS, TAG_MASK, TAG_SAMPLE, _keyed_uniforms, substream
+from .seeding import TAG_LABELS, TAG_MASK, TAG_SAMPLE, _keyed_uniforms, _keyed_words, _seed, substream
 
 MNL = "mnl"
 GAUSSIAN = "gaussian"
@@ -193,13 +193,13 @@ def _draws(spec: ComponentSpec, uniforms: np.ndarray) -> np.ndarray:
     return spec.noise * ndtri(uniforms)
 
 
-def _embed_draws(spec: ComponentSpec, draws: np.ndarray) -> np.ndarray:
-    """Raw draws (m, .) -> item ranks (m, n) -> embedded rows (m, d)."""
+def _positions(spec: ComponentSpec, draws: np.ndarray) -> np.ndarray:
+    """Raw draws (m, .) -> item ranks (m, n), position[r, item] = rank."""
     if spec.family == MALLOWS:
-        return embed_positions(_mallows_positions(spec.center, spec.noise, draws))
+        return _mallows_positions(spec.center, spec.noise, draws)
     # descending stable sort: on tied scores the lower item index comes first
     order = np.argsort(-(spec.utilities + draws), axis=1, kind="stable")
-    return embed_positions(np.argsort(order, axis=1))
+    return np.argsort(order, axis=1)
 
 
 def _mallows_positions(center: Permutation, phi: float, uniforms: np.ndarray) -> np.ndarray:
@@ -231,7 +231,8 @@ def sample_embedded_batch(spec: ComponentSpec, m: int, rng_seed: int) -> np.ndar
     ``sample_mixture(MixtureSpec([spec], [1.0]), m, rng_seed).values`` and
     its first rows do not depend on m.
     """
-    return _embed_draws(spec, _draws(spec, _keyed_uniforms(rng_seed, TAG_SAMPLE, np.arange(m), spec.n)))
+    uniforms = _keyed_uniforms(rng_seed, TAG_SAMPLE, np.arange(m), spec.n)
+    return embed_positions(_positions(spec, _draws(spec, uniforms)))
 
 
 def sample_mixture(spec: MixtureSpec, N: int, rng_seed: int) -> SampleBatch:
@@ -246,12 +247,12 @@ def sample_mixture(spec: MixtureSpec, N: int, rng_seed: int) -> SampleBatch:
         raise ValueError("N must be at least 1")
     uniforms = _keyed_uniforms(rng_seed, TAG_SAMPLE, np.arange(N), spec.n)
     labels = substream(rng_seed, TAG_LABELS).choice(spec.k, size=N, p=spec.weights)
-    values = np.empty((N, spec.components[0].d))
+    position = np.empty((N, spec.n), dtype=np.int64)
     for label in np.unique(labels):
         component = spec.components[label]
         rows = np.flatnonzero(labels == label)
-        values[rows] = _embed_draws(component, _draws(component, uniforms[rows]))
-    return SampleBatch(values, labels, np.arange(N))
+        position[rows] = _positions(component, _draws(component, uniforms[rows]))
+    return SampleBatch(embed_positions(position), labels, np.arange(N))  # one embedding pass for all rows
 
 
 def mask(batch: SampleBatch, p: float, rng_seed: int) -> SampleBatch:
@@ -260,11 +261,22 @@ def mask(batch: SampleBatch, p: float, rng_seed: int) -> SampleBatch:
     Row r keeps coordinate c iff its uniform keyed by (rng_seed, mask-tag) at
     row id batch.row_ids[r], column c, is below p; rng_seed must be a
     non-negative integer. p = 1 keeps every coordinate.
+
+    The test runs on the raw words x behind the uniforms, with no float
+    draws: ((x >> 12) + 0.5) * 2**-52 < p iff x < T * 2**12, where
+    T = ceil((p * 2**53 - 1) / 2). Every step of T is exact in float64, and
+    T = 2**52, which keeps every cell, only at p = 1.
     """
     if not (0.0 < p <= 1.0):
         raise ValueError(f"keep probability must lie in (0, 1], got {p}")
-    keep = _keyed_uniforms(rng_seed, TAG_MASK, batch.row_ids, batch.values.shape[1]) < p
-    return SampleBatch(np.where(keep, batch.values, 0.0), batch.labels, batch.row_ids)
+    t = math.ceil((float(p) * 2.0**53 - 1.0) / 2.0)  # in float64: p * 2**53 overflows float16
+    if t == 2**52:
+        _seed(rng_seed)  # refuse a bad seed even where no word is drawn
+        return batch
+    keep = _keyed_words(rng_seed, TAG_MASK, batch.row_ids, batch.values.shape[1]) < np.uint64(t << 12)
+    values = batch.values * keep
+    values += 0.0  # -1/2 * False is -0.0; the missing marker is +0.0
+    return SampleBatch(values, batch.labels, batch.row_ids)
 
 
 # ------------------------------------------------------------ exact oracles

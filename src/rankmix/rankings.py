@@ -115,11 +115,17 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def embed_positions(position) -> np.ndarray:
     """Embed rows of item ranks (position[..., item] = rank) in bulk.
 
-    Coordinate (a, b) of a row is +1/2 iff a precedes b in that row.
+    Coordinate (a, b) of a row is +1/2 iff a precedes b in that row. Ranks
+    must lie in [0, n); they are compared in the narrowest unsigned dtype
+    that holds n - 1, and the one boolean result becomes +-1/2.
     """
     position = np.asarray(position)
-    first, second = _pairs(position.shape[-1])
-    return np.where(position[..., first] < position[..., second], 0.5, -0.5)
+    n = position.shape[-1]
+    first, second = _pairs(n)
+    if position.size and (position.min() < 0 or position.max() >= n):
+        raise ValueError(f"ranks must lie in [0, {n})")
+    position = position.astype(np.min_scalar_type(n - 1))
+    return np.subtract(position[..., first] < position[..., second], 0.5, dtype=float)
 
 
 def _check_masked_embedding(values: np.ndarray) -> None:

@@ -48,6 +48,14 @@ def oracle_embed(order):
     return out
 
 
+def oracle_embed_positions(position):
+    """Rows of item ranks embedded by comparing them as given, in one np.where:
+    coordinate (a, b), a < b in lexicographic order, is +0.5 iff rank a < rank b."""
+    position = np.asarray(position)
+    first, second = np.triu_indices(position.shape[-1], k=1)
+    return np.where(position[..., first] < position[..., second], 0.5, -0.5)
+
+
 def lex_pairs(n):
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
 

@@ -9,6 +9,7 @@ from scipy.spatial.distance import pdist
 
 from rankmix.estimation import (
     ObservationMatrix,
+    _check_float32_gram,
     _values_read,
     compute_svd,
     delta_bound,
@@ -116,6 +117,33 @@ def test_svd_contract():
         for bad in (0, 13, -1, 2.5, np.nan):
             with pytest.raises(ValueError, match="top"):
                 compute_svd(y, top=bad)
+
+
+@pytest.mark.parametrize("shape", [(3000, 45), (45, 3000), (200, 105), (105, 200)], ids=str)
+@pytest.mark.parametrize("kind", ["all_plus_half_columns", "masked"])
+def test_float32_gram_matches_dsyrk_bit_for_bit(shape, kind):
+    # an ObservationMatrix's Gram matrix comes from ssyrk on float32, a plain array's
+    # from dsyrk on float64: with every partial sum exact the two agree bit for bit,
+    # and so does everything compute_svd derives from them
+    rng = np.random.default_rng(shape[0])
+    values = np.where(rng.random(shape) < 0.5, -0.5, 0.5)
+    if kind == "masked":
+        values[rng.random(shape) < 0.7] = 0.0
+    else:  # the largest Gram entries there are: max(N, d) / 4 on the diagonal
+        values[:, :3] = 0.5
+        values[:3] = 0.5
+    top = min(shape) // 3
+    via_float32, via_float64 = compute_svd(ObservationMatrix(values), top=top), compute_svd(values, top=top)
+    for name in ("singular_values", "U", "Vt"):
+        assert getattr(via_float32, name).tobytes() == getattr(via_float64, name).tobytes()
+
+
+def test_float32_gram_guard_refuses_a_side_beyond_2_24():
+    for N, d in ((2**24, 3), (3, 2**24), (2**24, 2**24)):
+        _check_float32_gram(N, d)
+    for N, d in ((2**24 + 1, 3), (3, 2**24 + 1)):
+        with pytest.raises(ValueError, match=r"max\(N, d\) must be at most 2\*\*24"):
+            _check_float32_gram(N, d)
 
 
 def _matrix_of_kind(kind, N, d, seed, scale):
@@ -302,11 +330,11 @@ def test_hsvt_zero_threshold_full_observation_reproduces_y():
 
 def test_hsvt_threshold_above_top_singular_value_gives_zero():
     y, _, _ = _two_perm_matrix()
-    obs = ObservationMatrix.from_dense(y)
-    top = compute_svd(obs).singular_values[0]
-    est = hsvt(obs, top * 1.01)
-    assert est.kept_rank == 0
-    assert np.allclose(est.m_hat, 0.0)
+    for obs in (ObservationMatrix.from_dense(y), ObservationMatrix.from_dense(y.T)):  # tall, wide
+        top = compute_svd(obs).singular_values[0]
+        est = hsvt(obs, top * 1.01)
+        assert est.kept_rank == 0
+        assert est.m_hat.shape == obs.values.shape and not est.m_hat.any()
 
 
 def test_hsvt_exact_low_rank_recovery():
@@ -387,6 +415,20 @@ def test_select_threshold_gap_heuristic_example():
     y = np.diag([10.0, 9.0, 0.1, 0.05])
     t1 = select_threshold(compute_svd(y))
     assert t1 == pytest.approx(4.55, abs=1e-12)
+
+
+def test_select_threshold_auto_rule_ignores_the_noise_floor():
+    # an exactly rank-3 product: sigma = 28.6, 22.6, 18.0, 3.4e-7, 2.2e-8, 0, ... The two
+    # values at or below sqrt(eps) * sigma_1 are rounding noise and count as 0, so the
+    # gap after sigma_3 is infinite and 0/0 beyond it is none
+    rng = np.random.default_rng(169)
+    y = rng.normal(size=(30, 3)) @ rng.normal(size=(3, 20))
+    svd = compute_svd(y)
+    s = svd.singular_values
+    assert s[3] <= np.sqrt(np.finfo(float).eps) * s[0] and s[4] > 0 and s[5] == 0
+    t1 = select_threshold(svd)
+    assert t1 == (s[2] + s[3]) / 2
+    assert hsvt(y, t1, svd=svd).kept_rank == 3
 
 
 def test_select_threshold_target_rank_examples():

@@ -16,6 +16,7 @@ from rankmix.fileio import (
     write_labels,
     write_matrix,
     write_mixture_spec,
+    write_observations,
 )
 from rankmix.generators import ComponentSpec, MixtureSpec
 from rankmix.rankings import Permutation
@@ -32,6 +33,24 @@ def test_matrix_roundtrip_with_missing(tmp_path):
     assert back.shape == (2, 3)
     assert np.array_equal(np.isnan(back), np.isnan(arr))
     assert np.array_equal(back[~np.isnan(arr)], arr[~np.isnan(arr)])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (6, 10), (40, 3)])
+@pytest.mark.parametrize("missing", [0.0, 0.4, 1.0])
+def test_observations_writer_matches_write_matrix_of_the_na_copy(tmp_path, shape, missing):
+    rng = np.random.default_rng(shape[0])
+    values = np.where(rng.random(shape) < 0.5, -0.5, 0.5)
+    values[rng.random(shape) < missing] = 0.0
+    write_observations(tmp_path / "obs.txt", values)
+    write_matrix(tmp_path / "want.txt", np.where(values == 0.0, np.nan, values))
+    assert (tmp_path / "obs.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [0.4, np.nan, np.inf])
+def test_observations_writer_refuses_values_off_the_three_tokens(tmp_path, bad):
+    with pytest.raises(ValueError, match="exactly"):
+        write_observations(tmp_path / "obs.txt", [[0.5, bad], [0.0, -0.5]])
+    assert not (tmp_path / "obs.txt").exists()
 
 
 def test_matrix_roundtrip_general_floats(tmp_path):

@@ -509,7 +509,7 @@ def test_mask_matches_per_row_reference(n, N):
     batch = sample_mixture(_three_family_mixture(n), N, rng_seed=n)
     shuffled = SampleBatch(batch.values[::-1], batch.labels[::-1], 1000 + 3 * batch.row_ids[::-1])
     for rows in (batch, shuffled):
-        for p in (0.05, 0.5, 1.0):
+        for p in (0.05, 0.5, 1.0, np.float16(0.3)):
             masked = mask(rows, p, rng_seed=9)
             want = oracle_mask_rows(rows.values, rows.row_ids, p, 9, TAG_MASK)
             assert np.array_equal(masked.values, want)
@@ -550,6 +550,46 @@ def test_keyed_uniforms_follow_the_counter_contract(ids, width, seed):
     values = np.where(np.random.default_rng(seed % 2**32).random((len(ids), width)) < 0.5, -0.5, 0.5)
     batch = SampleBatch(values, np.zeros(len(ids)), ids)
     assert np.array_equal(mask(batch, 1.0, seed).values, values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ids=_row_ids(),
+    width=st.integers(1, 30),
+    seed=st.integers(0, 2**64 - 1),
+    where=st.sampled_from(["below", "at", "above", "one", "tiny"]),
+    data=st.data(),
+)
+def test_mask_integer_threshold_matches_the_float_oracle(ids, width, seed, where, data):
+    # mask compares raw words with an integer threshold; the oracle compares float
+    # uniforms with p. p = (k + 1/2) * 2**-52 is a uniform's exact value (k is one
+    # cell's word >> 12), so "at" and its two float neighbours decide that cell at
+    # the boundary; p = 1 keeps all, and p below 2**-53 keeps nothing
+    ids = np.array(ids)
+    values = np.where(np.random.default_rng(seed % 2**32).random((ids.size, width)) < 0.5, -0.5, 0.5)
+    batch = SampleBatch(values, np.zeros(ids.size), ids)
+    row, col = data.draw(st.integers(0, ids.size - 1)), data.draw(st.integers(0, width - 1))
+    cell = oracle_keyed_uniforms(seed, TAG_MASK, ids[row], width)[col]
+    p = {
+        "below": np.nextafter(cell, 0.0),
+        "at": cell,
+        "above": np.nextafter(cell, 1.0),
+        "one": 1.0,
+        "tiny": data.draw(st.floats(5e-324, 2.0**-53, exclude_max=True)),
+    }[where]
+    masked = mask(batch, float(p), seed).values
+    assert masked.tobytes() == oracle_mask_rows(values, ids, p, seed, TAG_MASK).tobytes()
+    if where in ("below", "at", "above"):
+        assert (masked[row, col] != 0) == (where == "above")
+    if where == "tiny":
+        assert not masked.any()
+
+
+def test_no_rows_draw_no_words():
+    batch = SampleBatch(np.empty((0, 3)), np.empty(0), np.empty(0))
+    for p in (0.5, 1.0):
+        assert mask(batch, p, 1).values.shape == (0, 3)
+    assert _keyed_uniforms(1, TAG_MASK, [], 5).shape == (0, 5)
 
 
 def test_keyed_uniforms_of_scattered_row_ids_match_the_oracle():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lex_pairs, oracle_embed, oracle_inversions, random_order
+from oracles import lex_pairs, oracle_embed, oracle_embed_positions, oracle_inversions, random_order
 from rankmix.rankings import (
     Permutation,
     _pairs,
@@ -81,6 +81,25 @@ def test_embed_values_are_half_integers():
         assert set(np.abs(e)) == {0.5}
         assert not e.flags.writeable
         assert np.array_equal(e, embed_positions(perm.position))
+
+
+@pytest.mark.parametrize("n", (2, 3, 255, 256, 257, 300))
+def test_embed_positions_matches_the_where_form(n):
+    # ranks are compared in uint8 up to n = 256 and in uint16 beyond; the
+    # identity, the reversal and random rows, in int64 as the samplers make them
+    rng = np.random.default_rng(n)
+    rows = [np.arange(n), np.arange(n)[::-1]] + [rng.permutation(n) for _ in range(20)]
+    position = np.array(rows, dtype=np.int64)
+    got = embed_positions(position)
+    assert got.dtype == np.float64 and got.shape == (len(rows), n * (n - 1) // 2)
+    assert got.tobytes() == oracle_embed_positions(position).tobytes()
+    assert embed_positions(position[3]).tobytes() == oracle_embed_positions(position[3]).tobytes()
+
+
+@pytest.mark.parametrize("bad", (-1, 4))
+def test_embed_positions_refuses_ranks_outside_the_item_range(bad):
+    with pytest.raises(ValueError, match=r"ranks must lie in \[0, 4\)"):
+        embed_positions(np.array([[0, 1, 2, bad]]))
 
 
 def test_kendall_tau_identity_and_reversal():
