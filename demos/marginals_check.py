@@ -1,14 +1,13 @@
 """Sampled pairwise win rates vs their closed forms, for each noise family."""
 
-import numpy as np
-
 from rankmix import (
     ComponentSpec,
+    MixtureSpec,
     Permutation,
     exact_pairwise_marginal,
     normal_utilities,
     pair_index,
-    sample_embedded_batch,
+    sample_mixture,
 )
 
 n = 5
@@ -21,7 +20,7 @@ specs = {
 }
 
 for name, spec in specs.items():
-    batch = sample_embedded_batch(spec, m, 7)
+    batch = sample_mixture(MixtureSpec([spec], [1.0]), m, 7).values
     worst = 0.0
     print(f"\n{name}  (empirical over {m} samples vs exact)")
     print("  pair   empirical  exact")

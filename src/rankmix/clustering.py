@@ -20,6 +20,8 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import pdist
 
+from .rankings import _read_only
+
 # fallback returns max MST weight scaled just past 1 so every edge survives
 _FALLBACK_MARGIN = 1e-9
 # a gap must beat this ratio (upper/lower weight) to count as a cluster split
@@ -36,12 +38,8 @@ class ClusteringResult:
     mst_edge_weights: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
-        weights = np.asarray(self.mst_edge_weights, dtype=float)
-        labels.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "mst_edge_weights", weights)
+        for name, dtype in (("labels", int), ("mst_edge_weights", float)):
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype=dtype)))
 
 
 def _gap_threshold(w: np.ndarray) -> float:

@@ -17,9 +17,10 @@ without a rank hint, r + 1 with one) and which defaults to all min(N, d).
 Every BLAS call, from the Gram product to the back-products and m_hat, runs
 on scipy's BLAS: numpy and scipy may each link their own OpenBLAS, each
 with its own thread pool, and work handed from one pool to the other pays
-for both. An ObservationMatrix's Gram product runs in float32 and is exact
-(see compute_svd). CLI denoise asks for at least 20 values, so its .meta
-sidecar still lists the top 20. SvdResult states the accuracy this gives.
+for both. Observation data always takes the exact float32 Gram product of
+an ObservationMatrix (see compute_svd; hsvt passes its y on). CLI denoise
+asks for at least 20 values, so its .meta sidecar still lists the top 20.
+SvdResult states the accuracy this gives.
 
 The estimate is held as its rank-r factors, left = U_r S_r and Vt = V_r^T,
 and the dense N x d m_hat is built only on demand. Because V_r has
@@ -43,7 +44,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.blas import dgemm, dsyrk, ssyrk
 
-from .rankings import _check_masked_embedding, _integer_values
+from .rankings import _integer_values, _observations
 
 _FLOAT32_GRAM_MAX = 2**24
 _NOISE_FLOOR = math.sqrt(np.finfo(float).eps)  # relative to sigma_1; see SvdResult
@@ -57,13 +58,7 @@ class ObservationMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError(f"values must be a 2-d array, got shape {values.shape}")
-        _check_masked_embedding(values)
-        values = values.view()  # freeze a view, not the caller's array
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _observations(self.values))
 
     @classmethod
     def from_dense(cls, values) -> "ObservationMatrix":
@@ -76,7 +71,8 @@ class ObservationMatrix:
 
     @classmethod
     def from_samples(cls, batch) -> "ObservationMatrix":
-        """Wrap a SampleBatch's values as they are (0 already marks missing)."""
+        """Wrap a SampleBatch's values (0 already marks missing), checked: they
+        view an array the batch's builder may have written to since."""
         return cls(batch.values)
 
     @property
@@ -231,15 +227,14 @@ def hsvt(y, threshold: float, svd: SvdResult | None = None, p_hat: float | None 
     """
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    values = _as_matrix(y)
     if p_hat is None:
         p_hat = estimate_p_hat(y) if isinstance(y, ObservationMatrix) else 1.0
     if not 0.0 < p_hat <= 1.0:
         raise ValueError(f"p_hat must lie in (0, 1], got {p_hat}")
     if svd is None:
-        svd = compute_svd(values)
-    elif (svd.N, svd.d) != values.shape:
-        raise ValueError(f"svd is of a {svd.N}x{svd.d} matrix, y is {values.shape}")
+        svd = compute_svd(y)  # y itself: an ObservationMatrix takes the float32 Gram route
+    elif (svd.N, svd.d) != (shape := _as_matrix(y).shape):
+        raise ValueError(f"svd is of a {svd.N}x{svd.d} matrix, y is {shape}")
     s = svd.singular_values
     if s.size < min(svd.N, svd.d) and threshold < s[-1]:
         raise ValueError(

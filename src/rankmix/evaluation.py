@@ -26,7 +26,7 @@ from scipy.optimize import bisect
 from scipy.optimize import linear_sum_assignment
 from scipy.special import ndtr
 
-from .generators import ComponentSpec, sample_embedded_batch
+from .generators import ComponentSpec, MixtureSpec, sample_mixture
 from .seeding import TAG_DIRECTIONS, substream
 
 @dataclass(frozen=True)
@@ -138,8 +138,9 @@ def empirical_tau(
 ) -> float:
     """Empirical sub-Gaussian dispersion of one component's embedding.
 
-    Draws ``sample_embedded_batch(spec, num_samples, rng_seed)``, centers
-    it, and returns the max empirical psi2 norm of the projections onto
+    Draws num_samples rows of spec as a one-component mixture
+    (``sample_mixture``, which refuses a non-integer count), centers them,
+    and returns the max empirical psi2 norm of the projections onto
     num_directions random unit directions (the (rng_seed, directions-tag)
     substream) plus the normalized all-ones direction.
     """
@@ -147,7 +148,7 @@ def empirical_tau(
         raise ValueError("num_samples must be at least 100")
     if num_directions < 1:
         raise ValueError("num_directions must be at least 1")
-    x = sample_embedded_batch(spec, num_samples, rng_seed)
+    x = sample_mixture(MixtureSpec([spec], [1.0]), num_samples, rng_seed).values
     xc = x - x.mean(axis=0)
     d = x.shape[1]
     rng = substream(rng_seed, TAG_DIRECTIONS)

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .generators import GAUSSIAN, MALLOWS, MNL, ComponentSpec, MixtureSpec
-from .rankings import Permutation, _check_masked_embedding, _integer_values
+from .rankings import Permutation, _integer_values, _observations
 
 _NOISE_KEY = {MNL: "beta", GAUSSIAN: "sigma", MALLOWS: "phi"}
 
@@ -56,10 +56,7 @@ def write_observations(path, values) -> None:
     """Write an observation matrix held as +-1/2 with 0 marking a missing
     entry, in the matrix format: the bytes write_matrix writes for the copy
     with NA (NaN) in place of 0, through a three-token table."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ValueError("matrix must be 2-d")
-    _check_masked_embedding(values)
+    values = _observations(values)
     tokens = _OBSERVATION_TOKENS[(values * 2.0 + 1.0).astype(np.intp)]  # -1/2, 0, +1/2 -> 0, 1, 2
     with open(path, "w") as fh:
         fh.write(f"{values.shape[0]} {values.shape[1]}\n")

@@ -15,19 +15,18 @@ repeated insertion (Doignon, Pekec & Regenwetter 2004): the item at step j
 lands r slots ahead of the back of the partial ranking with probability
 proportional to phi**r.
 
-One kernel samples a block of m rows: uniforms (m, n) -- of which mallows
-reads the first n-1 -- become noise terms, then item ranks (m, n), then
-embedded rows (m, d); repeated insertion takes one numpy step per item for
-all rows. Rows travel as one columnar ``SampleBatch`` (values over +-1/2
+One sampler, ``sample_mixture``, draws N rows: uniforms (N, n) -- of which
+mallows reads the first n-1 -- become noise terms, then item ranks (N, n),
+then embedded rows (N, d); repeated insertion takes one numpy step per item
+for all rows. Rows travel as one columnar ``SampleBatch`` (values over +-1/2
 with 0 where missing -- the one in-memory marker; files write ``NA`` --
 labels, unique non-negative row ids); masking keeps each coordinate with
-probability p.
+probability p. Only a batch a caller builds is checked.
 
 All row randomness is counter-keyed by (seed, tag, row id)
 (``seeding._keyed_uniforms``): row ell of a sample reads the n uniforms
-keyed by (seed, sample-tag) at row id ell, in ``sample_mixture`` and
-``sample_embedded_batch`` alike, and ``mask`` reads row r's from (seed,
-mask-tag) at row id row_ids[r], as raw words (``seeding._keyed_words``).
+keyed by (seed, sample-tag) at row id ell, and ``mask`` reads row r's from
+(seed, mask-tag) at row id row_ids[r], as raw words (``seeding._keyed_words``).
 Mixture labels come from the (seed, labels-tag) substream. Any row can be
 regenerated alone and row order never changes row randomness.
 """
@@ -35,12 +34,13 @@ regenerated alone and row order never changes row randomness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .rankings import Permutation, _check_masked_embedding, _pairs, embed_positions
+from .rankings import Permutation, _observations, _pairs, _read_only, embed_positions
 from .rankings import embed  # noqa: F401 -- perfbench/spans.py wraps generators.embed, so it stays bound
 from .seeding import TAG_LABELS, TAG_MASK, TAG_SAMPLE, _keyed_uniforms, _keyed_words, _seed, substream
 
@@ -154,23 +154,30 @@ class SampleBatch:
     row_ids: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _observations(self.values)
         labels = np.asarray(self.labels, dtype=np.int64)
         row_ids = np.asarray(self.row_ids, dtype=np.int64)
-        if values.ndim != 2 or labels.shape != (values.shape[0],) or row_ids.shape != labels.shape:
+        if labels.shape != (values.shape[0],) or row_ids.shape != labels.shape:
             raise ValueError(
                 f"need (N, d) values with N labels and N row ids, got shapes "
                 f"{values.shape}, {labels.shape}, {row_ids.shape}"
             )
-        _check_masked_embedding(values)
         if np.unique(row_ids).size != row_ids.size:
             raise ValueError("row ids must be unique")
         if (row_ids < 0).any():
             raise ValueError(f"row ids must be non-negative, got {row_ids.min()}")
+        self._freeze(values, labels, row_ids)
+
+    @classmethod
+    def _built(cls, values, labels, row_ids) -> "SampleBatch":
+        """A batch of arrays that sample_mixture or mask built valid, unchecked."""
+        batch = object.__new__(cls)
+        batch._freeze(np.asarray(values, dtype=float), np.asarray(labels, np.int64), np.asarray(row_ids, np.int64))
+        return batch
+
+    def _freeze(self, values, labels, row_ids) -> None:
         for name, array in (("values", values), ("labels", labels), ("row_ids", row_ids)):
-            array = array.view()
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+            object.__setattr__(self, name, _read_only(array))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -224,27 +231,16 @@ def _mallows_positions(center: Permutation, phi: float, uniforms: np.ndarray) ->
     return position
 
 
-def sample_embedded_batch(spec: ComponentSpec, m: int, rng_seed: int) -> np.ndarray:
-    """m embedded draws from one component as an (m, d) array of +-1/2.
-
-    Rows are keyed as in sample_mixture, so the result equals
-    ``sample_mixture(MixtureSpec([spec], [1.0]), m, rng_seed).values`` and
-    its first rows do not depend on m.
-    """
-    uniforms = _keyed_uniforms(rng_seed, TAG_SAMPLE, np.arange(m), spec.n)
-    return embed_positions(_positions(spec, _draws(spec, uniforms)))
-
-
 def sample_mixture(spec: MixtureSpec, N: int, rng_seed: int) -> SampleBatch:
     """Draw N labeled, unmasked rows; labels are i.i.d. from the weights.
 
     Labels come from the (rng_seed, labels-tag) substream. Row ell reads the
     n uniforms keyed by (rng_seed, sample-tag) at row id ell, so any single
     row can be regenerated without touching the others; rng_seed must be a
-    non-negative integer.
+    non-negative integer and N a positive one (2.5 and 2.0 are refused).
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise ValueError(f"row count must be a positive integer, got {N}")
     uniforms = _keyed_uniforms(rng_seed, TAG_SAMPLE, np.arange(N), spec.n)
     labels = substream(rng_seed, TAG_LABELS).choice(spec.k, size=N, p=spec.weights)
     position = np.empty((N, spec.n), dtype=np.int64)
@@ -252,7 +248,7 @@ def sample_mixture(spec: MixtureSpec, N: int, rng_seed: int) -> SampleBatch:
         component = spec.components[label]
         rows = np.flatnonzero(labels == label)
         position[rows] = _positions(component, _draws(component, uniforms[rows]))
-    return SampleBatch(embed_positions(position), labels, np.arange(N))  # one embedding pass for all rows
+    return SampleBatch._built(embed_positions(position), labels, np.arange(N))  # one embedding pass for all rows
 
 
 def mask(batch: SampleBatch, p: float, rng_seed: int) -> SampleBatch:
@@ -276,7 +272,7 @@ def mask(batch: SampleBatch, p: float, rng_seed: int) -> SampleBatch:
     keep = _keyed_words(rng_seed, TAG_MASK, batch.row_ids, batch.values.shape[1]) < np.uint64(t << 12)
     values = batch.values * keep
     values += 0.0  # -1/2 * False is -0.0; the missing marker is +0.0
-    return SampleBatch(values, batch.labels, batch.row_ids)
+    return SampleBatch._built(values, batch.labels, batch.row_ids)
 
 
 # ------------------------------------------------------------ exact oracles

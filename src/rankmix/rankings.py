@@ -107,9 +107,7 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         raise ValueError("need at least two items to form a pair")
     first, second = np.triu_indices(n, k=1)  # lexicographic order
-    first.setflags(write=False)
-    second.setflags(write=False)
-    return first, second
+    return _read_only(first), _read_only(second)
 
 
 def embed_positions(position) -> np.ndarray:
@@ -134,14 +132,30 @@ def _check_masked_embedding(values: np.ndarray) -> None:
         raise ValueError("every entry must be exactly +1/2 or -1/2, or 0 where missing")
 
 
+def _observations(values) -> np.ndarray:
+    """values as a read-only float view of an N x d observation matrix, every
+    entry +1/2, -1/2 or 0 (missing); raises ValueError otherwise. SampleBatch,
+    ObservationMatrix and fileio.write_observations share this one check."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"values must be a 2-d array, got shape {values.shape}")
+    _check_masked_embedding(values)
+    return _read_only(values)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of array, which itself stays writable."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
 def embed(perm: Permutation) -> np.ndarray:
     """Embed a permutation as a read-only (d,) float array.
 
     Coordinate (a, b) is +1/2 iff a precedes b.
     """
-    values = embed_positions(perm.position)
-    values.setflags(write=False)
-    return values
+    return _read_only(embed_positions(perm.position))
 
 
 def kendall_tau(p1: Permutation, p2: Permutation) -> int:

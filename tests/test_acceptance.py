@@ -37,7 +37,6 @@ from rankmix.generators import (
     exact_pairwise_marginal,
     mask,
     normal_utilities,
-    sample_embedded_batch,
     sample_mixture,
 )
 from rankmix.rankings import (
@@ -87,7 +86,7 @@ def test_02_empirical_marginals_match_closed_forms():
         ComponentSpec.gaussian(normal_utilities(n, substream(21, 1)), 0.7),
     ]
     for fam_idx, spec in enumerate(specs):
-        batch = sample_embedded_batch(spec, m, child_seed(22, fam_idx))
+        batch = sample_mixture(MixtureSpec([spec], [1.0]), m, child_seed(22, fam_idx)).values
         for a in range(n):
             for b in range(a + 1, n):
                 empirical = 0.5 + batch[:, pair_index(a, b, n)].mean()
@@ -103,7 +102,7 @@ def test_03_mallows_sampler_total_variation():
     pairs = lex_pairs(n)
     for phi_idx, phi in enumerate((0.3, 0.7)):
         spec = ComponentSpec.mallows(Permutation(list(center)), phi)
-        batch = sample_embedded_batch(spec, m, child_seed(31, phi_idx))
+        batch = sample_mixture(MixtureSpec([spec], [1.0]), m, child_seed(31, phi_idx)).values
         rows, counts = np.unique(batch, axis=0, return_counts=True)
         empirical = {
             tuple(row.tolist()): cnt / m for row, cnt in zip(rows, counts)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
+from rankmix import estimation
 from rankmix.estimation import (
     ObservationMatrix,
     _check_float32_gram,
@@ -136,6 +137,21 @@ def test_float32_gram_matches_dsyrk_bit_for_bit(shape, kind):
     via_float32, via_float64 = compute_svd(ObservationMatrix(values), top=top), compute_svd(values, top=top)
     for name in ("singular_values", "U", "Vt"):
         assert getattr(via_float32, name).tobytes() == getattr(via_float64, name).tobytes()
+
+
+def test_hsvt_without_an_svd_takes_the_float32_gram_route(monkeypatch):
+    # observation data has one Gram route: hsvt hands the ObservationMatrix
+    # itself to compute_svd, so float64 dsyrk is never reached
+    spec = MixtureSpec([ComponentSpec.gaussian(normal_utilities(8, seed), 0.3) for seed in (1, 2)], [0.5, 0.5])
+    obs = _stack(mask(sample_mixture(spec, 60, 4), 0.5, 4))
+    want = hsvt(obs, 1.0, svd=compute_svd(obs))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("observation data reached dsyrk")
+
+    monkeypatch.setattr(estimation, "dsyrk", refused)
+    got = hsvt(obs, 1.0)
+    assert got.kept_rank == want.kept_rank and got.left.tobytes() == want.left.tobytes()
 
 
 def test_float32_gram_guard_refuses_a_side_beyond_2_24():

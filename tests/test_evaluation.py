@@ -26,7 +26,7 @@ from rankmix.evaluation import (
     psi2_norm,
     separation_gamma,
 )
-from rankmix.generators import ComponentSpec, cluster_mean, hypercube_utilities, sample_embedded_batch
+from rankmix.generators import ComponentSpec, MixtureSpec, cluster_mean, hypercube_utilities, sample_mixture
 from rankmix.rankings import Permutation
 from rankmix.seeding import substream
 
@@ -286,7 +286,7 @@ def test_tau_within_calibrated_sqrt_n_budget():
 def test_tau_always_probes_the_all_ones_direction():
     # one random direction plus the disagreement count, whose psi2 is a floor
     spec = ComponentSpec.gaussian(np.zeros(30), 1.0)
-    x = sample_embedded_batch(spec, 300, 5)
+    x = sample_mixture(MixtureSpec([spec], [1.0]), 300, 5).values
     xc = x - x.mean(axis=0)
     floor = psi2_norm(xc @ np.full(x.shape[1], 1.0 / math.sqrt(x.shape[1])))
     assert empirical_tau(spec, num_samples=300, num_directions=1, rng_seed=5) >= floor
@@ -298,6 +298,10 @@ def test_tau_validates_arguments():
         empirical_tau(spec, num_samples=50, num_directions=4)
     with pytest.raises(ValueError):
         empirical_tau(spec, num_samples=200, num_directions=0)
+    # np.arange(100.5) has 101 entries: a fractional count is refused, not rounded up
+    with pytest.raises(ValueError, match="row count must be a positive integer, got 100.5"):
+        empirical_tau(spec, num_samples=100.5, num_directions=4)
+    assert empirical_tau(spec, np.int64(200), 4, rng_seed=1) == empirical_tau(spec, 200, 4, rng_seed=1)
 
 
 def test_tau_deterministic_given_seed():

@@ -1,12 +1,16 @@
 """Tests for the experiment sweeps: config parsing, CSV schemas, determinism."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+import rankmix
 from rankmix import experiments
 from rankmix.experiments import (
     EXP2_COLUMNS,
@@ -180,6 +184,53 @@ def test_exp2_bit_identical_reruns(tmp_path):
     (pa,) = run_experiment(cfg_a)
     (pb,) = run_experiment(cfg_b)
     assert Path(pa).read_bytes() == Path(pb).read_bytes()
+
+
+_EXP2_IN_A_PROCESS = """
+import sys
+import numpy as np
+from rankmix import experiments
+labels, run = [], experiments.run_pipeline_samples
+def recorded(batch):
+    result = run(batch)
+    labels.append(result.clustering.labels)
+    return result
+experiments.run_pipeline_samples = recorded
+cfg = experiments.default_config("exp2", sys.argv[1]).replace(
+    n_list=(30,), lam=300.0, noise_list=(0.3,), p_list=(1.0, 0.4, 0.1, 0.02), trials=3, seed=11
+)
+experiments.run_experiment(cfg)
+np.save(sys.argv[1] + "/labels.npy", np.concatenate(labels))
+"""
+
+
+def test_exp2_across_blas_thread_counts_keeps_decisions_and_bounds_floats(tmp_path):
+    # README's determinism contract: CSV bytes are identical only for a fixed
+    # machine, BLAS build and thread count, since a parallel BLAS sums in an
+    # order that depends on its thread count. Across thread counts labels,
+    # risk, k_hat and p_hat are identical, and t1 and t2 agree within 1e-12
+    # relative.
+    csvs, labels = [], []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            PYTHONPATH=str(Path(rankmix.__file__).parent.parent),
+        )
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-c", _EXP2_IN_A_PROCESS, str(out)], env=env, check=True, timeout=600)
+        csvs.append(_read_csv(out / "exp2_risk.csv"))
+        labels.append(np.load(out / "labels.npy"))
+    assert np.array_equal(*labels)
+    (header, one), (header_two, two) = csvs
+    assert header == header_two == list(EXP2_COLUMNS) and len(one) == len(two) == 12
+    exact = [header.index(c) for c in ("n", "k", "sigma_or_beta", "p", "trial", "risk", "k_hat", "p_hat")]
+    for a, b in zip(one, two):
+        assert [a[i] for i in exact] == [b[i] for i in exact]
+        for column in ("t1", "t2"):
+            i = header.index(column)
+            assert float(a[i]) == pytest.approx(float(b[i]), rel=1e-12, abs=0.0), (column, a, b)
 
 
 def test_exp2_draws_each_trial_batch_once_and_masks_it_per_p(tmp_path, monkeypatch):

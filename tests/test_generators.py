@@ -35,7 +35,6 @@ from rankmix.generators import (
     mask,
     normal_utilities,
     rho_separated_utilities,
-    sample_embedded_batch,
     sample_mixture,
 )
 from rankmix.pipeline import run_pipeline
@@ -47,6 +46,11 @@ EULER_GAMMA = 0.5772156649015329
 # frozen closed-form values (stdlib math, double checked by hand)
 MNL_MARGINAL_1_0 = 0.7310585786300049  # e/(e+1)
 GAUSS_MARGINAL_1_1 = 0.7602499389065233  # Phi(1/sqrt(2))
+
+
+def _rows(spec, m, rng_seed):
+    """m embedded draws of one component: the rows of a one-component mixture."""
+    return sample_mixture(MixtureSpec([spec], [1.0]), m, rng_seed).values
 
 
 # ---------------------------------------------------------------- spec types
@@ -96,13 +100,13 @@ def test_mixture_spec_validation():
 def test_gaussian_noiseless_limit_sorts_utilities():
     spec = ComponentSpec.gaussian([3.0, 2.0, 1.0], sigma=1e-9)
     for seed in range(200):
-        (row,) = sample_embedded_batch(spec, 1, seed)
+        (row,) = _rows(spec, 1, seed)
         assert np.array_equal(row, embed(Permutation([0, 1, 2])))
 
 
 def test_mnl_two_item_marginal_matches_formula():
     spec = ComponentSpec.mnl([1.0, 0.0], beta=1.0)
-    x = sample_embedded_batch(spec, 100_000, rng_seed=42)
+    x = _rows(spec, 100_000, rng_seed=42)
     freq = float(np.mean(x[:, 0] == 0.5))
     assert abs(freq - MNL_MARGINAL_1_0) <= 0.01
 
@@ -116,7 +120,7 @@ def test_mallows_pmf_matches_brute_force():
         for perm, prob in oracle_mallows_pmf(tuple(center.order), 0.5).items()
     }
     draws = 100_000
-    rows, counts = np.unique(sample_embedded_batch(spec, draws, 4), axis=0, return_counts=True)
+    rows, counts = np.unique(_rows(spec, draws, 4), axis=0, return_counts=True)
     freq = {tuple(row.tolist()): count / draws for row, count in zip(rows, counts)}
     tv = 0.5 * sum(abs(freq.get(key, 0) - prob) for key, prob in want.items())
     assert tv <= 0.02
@@ -133,13 +137,8 @@ def test_tied_scores_prefer_lower_index():
     # noise of scale 1e-300 vanishes against the utilities, so the scores tie exactly
     for family in (ComponentSpec.gaussian, ComponentSpec.mnl):
         for utilities, order in (([1.0, 1.0, 0.5], [0, 1, 2]), ([0.5, 1.0, 1.0], [1, 2, 0])):
-            rows = sample_embedded_batch(family(utilities, 1e-300), 50, 0)
+            rows = _rows(family(utilities, 1e-300), 50, 0)
             assert np.array_equal(rows, np.tile(embed(Permutation(order)), (50, 1)))
-
-
-def test_sample_embedded_batch_deterministic_given_seed():
-    spec = ComponentSpec.mnl([0.5, 0.0, -0.5, 1.0], beta=1.0)
-    assert np.array_equal(sample_embedded_batch(spec, 1, 123), sample_embedded_batch(spec, 1, 123))
 
 
 def _component(family, n, seed):
@@ -193,7 +192,7 @@ def test_batch_kernel_matches_per_row_reference(family, n, m):
     want = np.vstack(
         [_per_row_reference(spec, 1, _Replay(oracle_keyed_uniforms(17, TAG_SAMPLE, row, n))) for row in range(m)]
     )
-    assert np.array_equal(sample_embedded_batch(spec, m, 17), want)
+    assert np.array_equal(_rows(spec, m, 17), want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,12 +203,13 @@ def test_batch_kernel_matches_per_row_reference(family, n, m):
     m=st.integers(1, 30),
     prefix=st.integers(1, 30),
 )
-def test_sample_embedded_batch_is_a_one_component_mixture_with_stable_prefixes(family, seed, n, m, prefix):
-    spec = _component(family, n, seed=n)
-    rows = sample_embedded_batch(spec, m, seed)
-    assert np.array_equal(rows, sample_mixture(MixtureSpec([spec], [1.0]), m, seed).values)
-    prefix = min(prefix, m)
-    assert np.array_equal(sample_embedded_batch(spec, prefix, seed), rows[:prefix])
+def test_sample_mixture_prefixes_do_not_depend_on_the_row_count(family, seed, n, m, prefix):
+    one = MixtureSpec([_component(family, n, seed=n)], [1.0])
+    for spec in (one, _three_family_mixture(n)):
+        batch = sample_mixture(spec, m, seed)
+        head = sample_mixture(spec, min(prefix, m), seed)
+        assert np.array_equal(head.values, batch.values[: len(head)])
+        assert np.array_equal(head.labels, batch.labels[: len(head)])
 
 
 # ------------------------------------------------------------ exact marginals
@@ -327,7 +327,7 @@ def test_cluster_mean_mallows_matches_enumeration():
 
 def test_cluster_mean_monte_carlo():
     spec = ComponentSpec.gaussian([0.8, 0.2, -0.5, 0.0, 1.3], sigma=0.7)
-    x = sample_embedded_batch(spec, 100_000, rng_seed=9)
+    x = _rows(spec, 100_000, rng_seed=9)
     emp = x.mean(axis=0)
     assert np.max(np.abs(emp - cluster_mean(spec))) <= 0.01
 
@@ -435,6 +435,10 @@ def test_negative_seed_is_refused_by_name():
         mask(batch, 0.5, rng_seed=-1)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         sample_mixture(_two_component_mixture(), 3, rng_seed=-1)
+    # the row count likewise, by name rather than with a TypeError from inside numpy
+    for count in (2.5, 2.0, 0, "3"):
+        with pytest.raises(ValueError, match=f"row count must be a positive integer, got {count}"):
+            sample_mixture(_two_component_mixture(), count, rng_seed=1)
 
 
 @pytest.mark.parametrize(
@@ -446,7 +450,6 @@ def test_non_integral_seed_is_refused_by_name(seed):
     for draw in (
         lambda: mask(batch, 0.5, seed),
         lambda: sample_mixture(_two_component_mixture(), 3, seed),
-        lambda: sample_embedded_batch(ComponentSpec.mnl([1.0, 0.0], beta=1.0), 3, seed),
         lambda: substream(seed, TAG_SAMPLE),
         lambda: child_seed(4, TAG_SAMPLE, seed),
     ):
@@ -457,6 +460,7 @@ def test_non_integral_seed_is_refused_by_name(seed):
 def test_numpy_integer_seeds_match_python_ints():
     batch = sample_mixture(_two_component_mixture(), 5, rng_seed=np.int64(1))
     assert np.array_equal(batch.values, sample_mixture(_two_component_mixture(), 5, rng_seed=1).values)
+    assert np.array_equal(batch.values, sample_mixture(_two_component_mixture(), np.uint16(5), rng_seed=1).values)
     assert np.array_equal(mask(batch, 0.5, np.uint32(4)).values, mask(batch, 0.5, 4).values)
     assert child_seed(np.int16(3), np.uint8(1)) == child_seed(3, 1)
 
@@ -617,7 +621,7 @@ def test_utility_helpers():
 
 def test_batch_sampler_matches_shape_and_values():
     spec = ComponentSpec.mnl([0.2, -0.2, 0.4], beta=1.0)
-    x = sample_embedded_batch(spec, 500, rng_seed=77)
+    x = _rows(spec, 500, rng_seed=77)
     assert x.shape == (500, 3)
     assert set(np.unique(np.abs(x))) == {0.5}
     # distributional sanity: empirical marginal near the exact one
@@ -628,6 +632,6 @@ def test_batch_sampler_matches_shape_and_values():
 def test_batch_sampler_mallows_matches_pmf_loosely():
     center = Permutation([0, 1, 2])
     spec = ComponentSpec.mallows(center, phi=0.3)
-    x = sample_embedded_batch(spec, 20_000, rng_seed=15)
+    x = _rows(spec, 20_000, rng_seed=15)
     want = oracle_mallows_marginal((0, 1, 2), 0.3, 0, 1)
     assert abs(np.mean(x[:, 0] == 0.5) - want) < 0.02
