@@ -53,12 +53,27 @@ _NOISE_FLOOR = math.sqrt(np.finfo(float).eps)  # relative to sigma_1; see SvdRes
 @dataclass(frozen=True)
 class ObservationMatrix:
     """N stacked embedded observations: values is +-1/2 at every observed
-    cell and exactly 0 at every missing one, so observed == (values != 0)."""
+    cell and exactly 0 at every missing one, so observed == (values != 0).
+    The matrix owns its values: the constructor checks and freezes a copy,
+    so the caller's array stays writable and later writes to it do not
+    reach the matrix."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _observations(self.values))
+        self._freeze(_observations(np.array(self.values, dtype=float)))
+
+    @classmethod
+    def _built(cls, values) -> "ObservationMatrix":
+        """A matrix of checked values that no caller can write to: frozen in
+        place, unchecked and uncopied."""
+        obs = object.__new__(cls)
+        obs._freeze(values)
+        return obs
+
+    def _freeze(self, values) -> None:
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_dense(cls, values) -> "ObservationMatrix":
@@ -67,13 +82,13 @@ class ObservationMatrix:
         values = np.asarray(values, dtype=float)
         if (values == 0.0).any():
             raise ValueError("a dense observation matrix marks missing entries with NaN, not 0")
-        return cls(np.where(np.isnan(values), 0.0, values))
+        return cls._built(_observations(np.where(np.isnan(values), 0.0, values)))
 
     @classmethod
     def from_samples(cls, batch) -> "ObservationMatrix":
-        """Wrap a SampleBatch's values (0 already marks missing), checked: they
-        view an array the batch's builder may have written to since."""
-        return cls(batch.values)
+        """Wrap a SampleBatch's values (0 already marks missing), unchecked and
+        uncopied: the batch checked them when it was built and owns them."""
+        return cls._built(batch.values)
 
     @property
     def N(self) -> int:

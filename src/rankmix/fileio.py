@@ -70,8 +70,8 @@ def read_matrix(path) -> np.ndarray:
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
     header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: header must be 'N d', got {lines[0]!r}")
+    if len(header) != 2 or not all(size.isdecimal() for size in header):
+        raise ValueError(f"{path}: header must be 'N d', two non-negative integers, got {lines[0]!r}")
     N, d = int(header[0]), int(header[1])
     if len(lines) - 1 != N:
         raise ValueError(f"{path}: header claims {N} rows, file has {len(lines) - 1}")
@@ -94,8 +94,15 @@ def write_labels(path, labels) -> None:
 
 
 def read_labels(path) -> np.ndarray:
+    labels = []
     with open(path) as fh:
-        return np.array([int(line.strip()) for line in fh if line.strip()], dtype=int)
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    labels.append(int(line))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: expected an integer label, got {line.strip()!r}") from None
+    return np.array(labels, dtype=int)
 
 
 # ---------------------------------------------------------------------------

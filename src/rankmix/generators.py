@@ -20,15 +20,16 @@ mallows reads the first n-1 -- become noise terms, then item ranks (N, n),
 then embedded rows (N, d); repeated insertion takes one numpy step per item
 for all rows. Rows travel as one columnar ``SampleBatch`` (values over +-1/2
 with 0 where missing -- the one in-memory marker; files write ``NA`` --
-labels, unique non-negative row ids); masking keeps each coordinate with
-probability p. Only a batch a caller builds is checked.
+and labels); masking keeps each coordinate with probability p. A row has
+no identity beyond its position. Only a batch a caller builds is checked.
 
-All row randomness is counter-keyed by (seed, tag, row id)
+All row randomness is counter-keyed by (seed, tag, position)
 (``seeding._keyed_uniforms``): row ell of a sample reads the n uniforms
-keyed by (seed, sample-tag) at row id ell, and ``mask`` reads row r's from
-(seed, mask-tag) at row id row_ids[r], as raw words (``seeding._keyed_words``).
-Mixture labels come from the (seed, labels-tag) substream. Any row can be
-regenerated alone and row order never changes row randomness.
+keyed by (seed, sample-tag) at position ell, and ``mask`` reads row r's
+from (seed, mask-tag) at position r, as raw words
+(``seeding._keyed_words``). Mixture labels come from the (seed,
+labels-tag) substream. Any row can be regenerated alone, and the first
+rows of a sample or a mask do not depend on how many rows follow.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .rankings import Permutation, _observations, _pairs, _read_only, embed_positions
+from .rankings import Permutation, _observations, _pairs, embed_positions
 from .rankings import embed  # noqa: F401 -- perfbench/spans.py wraps generators.embed, so it stays bound
 from .seeding import TAG_LABELS, TAG_MASK, TAG_SAMPLE, _keyed_uniforms, _keyed_words, _seed, substream
 
@@ -54,7 +55,9 @@ class ComponentSpec:
     """One mixture component: a model family plus its parameters.
 
     ``noise`` is beta for mnl, sigma for gaussian, and phi for mallows;
-    ``utilities`` applies to mnl/gaussian and ``center`` to mallows.
+    ``utilities`` applies to mnl/gaussian and ``center`` to mallows. The
+    spec holds a read-only copy of the utilities, so the caller's array
+    stays writable and later writes to it do not reach the spec.
     """
 
     family: str
@@ -75,7 +78,7 @@ class ComponentSpec:
         else:
             if self.center is not None:
                 raise ValueError(f"{self.family} components take no center")
-            u = np.asarray(self.utilities, dtype=float)
+            u = np.array(self.utilities, dtype=float)
             if u.ndim != 1 or u.size < 2 or not np.isfinite(u).all():
                 raise ValueError("utilities must be a finite vector of length >= 2")
             if not 0.0 < self.noise < math.inf:
@@ -85,11 +88,11 @@ class ComponentSpec:
 
     @classmethod
     def mnl(cls, utilities, beta: float) -> "ComponentSpec":
-        return cls(MNL, float(beta), utilities=np.asarray(utilities, dtype=float))
+        return cls(MNL, float(beta), utilities=utilities)
 
     @classmethod
     def gaussian(cls, utilities, sigma: float) -> "ComponentSpec":
-        return cls(GAUSSIAN, float(sigma), utilities=np.asarray(utilities, dtype=float))
+        return cls(GAUSSIAN, float(sigma), utilities=utilities)
 
     @classmethod
     def mallows(cls, center: Permutation, phi: float) -> "ComponentSpec":
@@ -108,7 +111,8 @@ class ComponentSpec:
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """k components sharing an item count, plus their mixing weights."""
+    """k components sharing an item count, plus their mixing weights (held
+    as a read-only copy, like a component's utilities)."""
 
     components: tuple
     weights: np.ndarray
@@ -120,7 +124,7 @@ class MixtureSpec:
         n = components[0].n
         if any(c.n != n for c in components):
             raise ValueError("all components must share the same item count")
-        w = np.asarray(weights, dtype=float)
+        w = np.array(weights, dtype=float)
         if w.shape != (len(components),):
             raise ValueError("weights must match the number of components")
         if not np.isfinite(w).all() or (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
@@ -140,44 +144,37 @@ class MixtureSpec:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """N embedded, possibly masked rows with their hidden labels and row ids.
+    """N embedded, possibly masked rows with their hidden labels.
 
     ``values`` is (N, d) over {-1/2, +1/2, 0}, 0 marking a missing
-    coordinate; NaN and inf are refused. ``row_ids`` are the rows' unique,
-    non-negative identities from generation time; mask uniforms are keyed
-    on them, which is what makes masking commute with reordering rows. The
-    fields are read-only views, so the caller's arrays stay writable.
+    coordinate; NaN and inf are refused. Row r is keyed by its position r
+    (``mask`` reads its randomness there). The batch owns its arrays: the
+    constructor checks and freezes copies, so the caller's arrays stay
+    writable and later writes to them do not reach the batch.
     """
 
     values: np.ndarray
     labels: np.ndarray
-    row_ids: np.ndarray
 
     def __post_init__(self):
-        values = _observations(self.values)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        row_ids = np.asarray(self.row_ids, dtype=np.int64)
-        if labels.shape != (values.shape[0],) or row_ids.shape != labels.shape:
-            raise ValueError(
-                f"need (N, d) values with N labels and N row ids, got shapes "
-                f"{values.shape}, {labels.shape}, {row_ids.shape}"
-            )
-        if np.unique(row_ids).size != row_ids.size:
-            raise ValueError("row ids must be unique")
-        if (row_ids < 0).any():
-            raise ValueError(f"row ids must be non-negative, got {row_ids.min()}")
-        self._freeze(values, labels, row_ids)
+        values = _observations(np.array(self.values, dtype=float))
+        labels = np.array(self.labels, dtype=np.int64)
+        if labels.shape != (values.shape[0],):
+            raise ValueError(f"need (N, d) values with N labels, got shapes {values.shape}, {labels.shape}")
+        self._freeze(values, labels)
 
     @classmethod
-    def _built(cls, values, labels, row_ids) -> "SampleBatch":
-        """A batch of arrays that sample_mixture or mask built valid, unchecked."""
+    def _built(cls, values, labels) -> "SampleBatch":
+        """A batch of arrays that sample_mixture or mask has just made valid
+        and no caller holds: frozen in place, unchecked and uncopied."""
         batch = object.__new__(cls)
-        batch._freeze(np.asarray(values, dtype=float), np.asarray(labels, np.int64), np.asarray(row_ids, np.int64))
+        batch._freeze(values, labels)
         return batch
 
-    def _freeze(self, values, labels, row_ids) -> None:
-        for name, array in (("values", values), ("labels", labels), ("row_ids", row_ids)):
-            object.__setattr__(self, name, _read_only(array))
+    def _freeze(self, values, labels) -> None:
+        for name, array in (("values", values), ("labels", labels)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -235,28 +232,28 @@ def sample_mixture(spec: MixtureSpec, N: int, rng_seed: int) -> SampleBatch:
     """Draw N labeled, unmasked rows; labels are i.i.d. from the weights.
 
     Labels come from the (rng_seed, labels-tag) substream. Row ell reads the
-    n uniforms keyed by (rng_seed, sample-tag) at row id ell, so any single
+    n uniforms keyed by (rng_seed, sample-tag) at position ell, so any single
     row can be regenerated without touching the others; rng_seed must be a
     non-negative integer and N a positive one (2.5 and 2.0 are refused).
     """
     if not isinstance(N, numbers.Integral) or N < 1:
         raise ValueError(f"row count must be a positive integer, got {N}")
-    uniforms = _keyed_uniforms(rng_seed, TAG_SAMPLE, np.arange(N), spec.n)
+    uniforms = _keyed_uniforms(rng_seed, TAG_SAMPLE, N, spec.n)
     labels = substream(rng_seed, TAG_LABELS).choice(spec.k, size=N, p=spec.weights)
     position = np.empty((N, spec.n), dtype=np.int64)
     for label in np.unique(labels):
         component = spec.components[label]
         rows = np.flatnonzero(labels == label)
         position[rows] = _positions(component, _draws(component, uniforms[rows]))
-    return SampleBatch._built(embed_positions(position), labels, np.arange(N))  # one embedding pass for all rows
+    return SampleBatch._built(embed_positions(position), labels)  # one embedding pass for all rows
 
 
 def mask(batch: SampleBatch, p: float, rng_seed: int) -> SampleBatch:
     """Keep each coordinate independently with probability p, else set it to 0.
 
     Row r keeps coordinate c iff its uniform keyed by (rng_seed, mask-tag) at
-    row id batch.row_ids[r], column c, is below p; rng_seed must be a
-    non-negative integer. p = 1 keeps every coordinate.
+    position r, column c, is below p; rng_seed must be a non-negative
+    integer. p = 1 keeps every coordinate.
 
     The test runs on the raw words x behind the uniforms, with no float
     draws: ((x >> 12) + 0.5) * 2**-52 < p iff x < T * 2**12, where
@@ -269,10 +266,10 @@ def mask(batch: SampleBatch, p: float, rng_seed: int) -> SampleBatch:
     if t == 2**52:
         _seed(rng_seed)  # refuse a bad seed even where no word is drawn
         return batch
-    keep = _keyed_words(rng_seed, TAG_MASK, batch.row_ids, batch.values.shape[1]) < np.uint64(t << 12)
+    keep = _keyed_words(rng_seed, TAG_MASK, len(batch), batch.values.shape[1]) < np.uint64(t << 12)
     values = batch.values * keep
     values += 0.0  # -1/2 * False is -0.0; the missing marker is +0.0
-    return SampleBatch._built(values, batch.labels, batch.row_ids)
+    return SampleBatch._built(values, batch.labels)
 
 
 # ------------------------------------------------------------ exact oracles

@@ -133,14 +133,15 @@ def _check_masked_embedding(values: np.ndarray) -> None:
 
 
 def _observations(values) -> np.ndarray:
-    """values as a read-only float view of an N x d observation matrix, every
-    entry +1/2, -1/2 or 0 (missing); raises ValueError otherwise. SampleBatch,
+    """values as a float N x d observation matrix, every entry +1/2, -1/2 or
+    0 (missing); raises ValueError otherwise. A float array comes back as
+    itself, so a caller that keeps it copies first. SampleBatch,
     ObservationMatrix and fileio.write_observations share this one check."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"values must be a 2-d array, got shape {values.shape}")
     _check_masked_embedding(values)
-    return _read_only(values)
+    return values
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ an experiment cell's seed) derives its own generator or seed from
 (master, *path) so that any part of a run can be reproduced in isolation.
 
 Row randomness has one source: ``_keyed_words`` addresses a row's raw
-words by (seed, tag, row id) as Philox4x64-10 counters, with no per-row
-generator, so a row can be regenerated alone and row order never bleeds
-into row randomness. ``_keyed_uniforms`` is their float view.
+words by (seed, tag, position) as Philox4x64-10 counters, with no per-row
+generator, so a row can be regenerated alone and the first rows of a draw
+do not depend on how many rows follow. ``_keyed_uniforms`` is their float
+view.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ TAG_DIRECTIONS = 3
 TAG_UTILITIES = 4
 TAG_SIZES = 5
 TAG_TRIAL = 7
-
-_WORD = 2**64 - 1
 
 
 def _seed(value) -> int:
@@ -53,46 +52,25 @@ def child_seed(master_seed: int, *path: int) -> int:
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-def _keyed_words(seed: int, tag: int, row_ids, width: int) -> np.ndarray:
-    """(len(row_ids), width) raw Philox4x64-10 words (uint64), row r a
-    function of (seed, tag, row_ids[r]) alone.
+def _keyed_words(seed: int, tag: int, rows: int, width: int) -> np.ndarray:
+    """(rows, width) raw Philox4x64-10 words (uint64), row r a function of
+    (seed, tag, r) alone.
 
     The key is ``SeedSequence([seed, tag]).generate_state(2, uint64)``. With
-    q = ceil(width / 4), row id i owns the counters i*q + 1 .. i*q + q; their
-    4q raw words, first ``width`` kept, are the row's. One Philox serves the
-    call: its counter is set at the start of each run of consecutive sorted
-    ids, and the run is one ``random_raw`` call. The stream depends only on
-    the bit generator, whose output NumPy keeps stable (NEP 19).
+    q = ceil(width / 4), row r owns the counters r*q + 1 .. r*q + q; their
+    4q raw words, first ``width`` kept, are the row's. A fresh Philox is at
+    counter 0 and steps it before each block, so one ``random_raw`` call
+    reads rows 0 .. rows - 1 in order, and the first rows do not depend on
+    ``rows``. The stream depends only on the bit generator, whose output
+    NumPy keeps stable (NEP 19).
     """
     key = np.random.SeedSequence([_seed(seed), tag]).generate_state(2, np.uint64)
     q = -(-width // 4)
-    ids = np.asarray(row_ids, dtype=np.int64)
-    if ids.size == 0:
-        return np.empty((0, width), dtype=np.uint64)
-    order = np.argsort(ids)
-    sorted_ids = ids[order]
-    # a run starts wherever an id does not follow its predecessor; ids are
-    # non-negative, so the prepended -2 never continues a run
-    starts = np.flatnonzero(np.diff(sorted_ids, prepend=-2) != 1)
-    # one generator per call: constructing one costs an OS-entropy SeedSequence it never uses
-    philox = np.random.Philox(key=key)
-    state = philox.state  # buffer_pos 4: after each set, the next draw starts a fresh block
-    runs = []
-    for start, stop in zip(starts, np.append(starts[1:], ids.size)):
-        counter = int(sorted_ids[start]) * q
-        state["state"]["counter"] = np.array([(counter >> s) & _WORD for s in (0, 64, 128, 192)], dtype=np.uint64)
-        philox.state = state
-        runs.append(philox.random_raw((stop - start, 4 * q)))
-    raw = runs[0] if len(runs) == 1 else np.concatenate(runs)
-    del runs  # before the reordering copy, so at most two (N, 4q) arrays live at once
-    words = raw[:, :width]
-    if (order == np.arange(ids.size)).all():  # ids given in increasing order: no reordering copy
-        return words
-    return words[np.argsort(order)]
+    return np.random.Philox(key=key).random_raw((rows, 4 * q))[:, :width]
 
 
-def _keyed_uniforms(seed: int, tag: int, row_ids, width: int) -> np.ndarray:
-    """(len(row_ids), width) uniforms strictly inside (0, 1): the float view
+def _keyed_uniforms(seed: int, tag: int, rows: int, width: int) -> np.ndarray:
+    """(rows, width) uniforms strictly inside (0, 1): the float view
     of ``_keyed_words``, each raw word x mapped to ((x >> 12) + 0.5) * 2**-52.
 
     That is exact in float64 and inside [2**-53, 1 - 2**-53]. (53 bits plus
@@ -100,7 +78,7 @@ def _keyed_uniforms(seed: int, tag: int, row_ids, width: int) -> np.ndarray:
     exactly 1.) A test ``uniform < p`` can be made on the words alone; see
     ``generators.mask``.
     """
-    words = _keyed_words(seed, tag, row_ids, width)
+    words = _keyed_words(seed, tag, rows, width)
     words >>= np.uint64(12)
     uniforms = words.astype(float)
     uniforms += 0.5

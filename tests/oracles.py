@@ -189,26 +189,26 @@ def oracle_philox4x64_10(counter, key):
     return c
 
 
-def oracle_keyed_uniforms(seed, tag, row_id, width):
-    """The width uniforms of one row: with q = ceil(width / 4), Philox blocks
-    at counters row_id*q + 1 .. row_id*q + q under the key
+def oracle_keyed_uniforms(seed, tag, row, width):
+    """The width uniforms of the row at position row: with q = ceil(width / 4),
+    Philox blocks at counters row*q + 1 .. row*q + q under the key
     SeedSequence([seed, tag]).generate_state(2, uint64), each raw word x
     mapped to ((x >> 12) + 0.5) * 2**-52."""
     key = [int(w) for w in np.random.SeedSequence([int(seed), int(tag)]).generate_state(2, np.uint64)]
     q = -(-width // 4)
     words = []
-    for c in range(int(row_id) * q + 1, int(row_id) * q + q + 1):
+    for c in range(int(row) * q + 1, int(row) * q + q + 1):
         words += oracle_philox4x64_10([(c >> (64 * w)) & _MASK64 for w in range(4)], key)
     return [((x >> 12) + 0.5) * 2.0**-52 for x in words[:width]]
 
 
-def oracle_mask_rows(values, row_ids, p, seed, tag):
+def oracle_mask_rows(values, p, seed, tag):
     """Row by row: row r keeps a coordinate iff its uniform from
-    oracle_keyed_uniforms(seed, tag, row_ids[r], d) is below p, and holds 0
+    oracle_keyed_uniforms(seed, tag, r, d) is below p, and holds 0
     otherwise."""
     out = []
-    for row, row_id in zip(values, row_ids):
-        keep = np.array(oracle_keyed_uniforms(seed, tag, row_id, len(row))) < p
+    for r, row in enumerate(values):
+        keep = np.array(oracle_keyed_uniforms(seed, tag, r, len(row))) < p
         out.append(np.where(keep, row, 0.0))
     return np.array(out).reshape(np.shape(values))
 

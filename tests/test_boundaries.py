@@ -1,10 +1,9 @@
 """The observation format (an N x d matrix of +-1/2, 0 where missing) is
-checked once on its way through the library, and at every public boundary.
+checked at every public boundary and nowhere else.
 
 sample_mixture and mask build batches that are valid by construction and do
-not check them again; ObservationMatrix.from_samples, where the estimator
-takes the matrix in, keeps its check, since a batch's fields are views of
-arrays a caller may still write to.
+not check them; ObservationMatrix.from_samples wraps a batch's values
+unchecked, since a batch owns frozen arrays that no caller can write to.
 """
 
 import numpy as np
@@ -16,7 +15,7 @@ from rankmix.estimation import ObservationMatrix
 from rankmix.experiments import default_config, run_experiment
 from rankmix.fileio import write_mixture_spec, write_observations
 from rankmix.generators import ComponentSpec, MixtureSpec, SampleBatch, mask, normal_utilities, sample_mixture
-from rankmix.pipeline import PipelineError, run_pipeline, run_pipeline_samples
+from rankmix.pipeline import run_pipeline, run_pipeline_samples
 
 
 @pytest.fixture
@@ -42,7 +41,7 @@ def _spec(n=12, k=2):
 @pytest.mark.parametrize("p", (0.5, 1.0))
 def test_run_pipeline_checks_the_matrix_once(checks, p):
     run_pipeline(_spec(), N=60, p=p, seed=3)
-    assert checks == [(60, 66)]  # in ObservationMatrix.from_samples
+    assert checks == []  # built by sample_mixture and mask, wrapped by from_samples: none is a boundary
 
 
 def test_an_exp2_sweep_checks_each_cell_once(checks, tmp_path):
@@ -51,7 +50,7 @@ def test_an_exp2_sweep_checks_each_cell_once(checks, tmp_path):
         n_list=(15,), k=3, lam=60.0, noise_list=(0.5,), p_list=(0.8, 0.4, 0.2, 0.1), trials=5, seed=1
     )
     run_experiment(cfg)
-    assert len(checks) == 20
+    assert checks == []
 
 
 def test_cli_generate_and_denoise_check_once_each(checks, tmp_path):
@@ -64,20 +63,23 @@ def test_cli_generate_and_denoise_check_once_each(checks, tmp_path):
     assert len(checks) == 2  # ObservationMatrix.from_dense
 
 
-def test_a_batch_written_to_after_it_was_built_fails_at_stack():
+def test_writing_the_callers_arrays_after_building_does_not_reach_the_pipeline():
     values = np.array(mask(sample_mixture(_spec(), 30, 4), 0.6, 4).values)
-    batch = SampleBatch(values, np.zeros(30), np.arange(30))
-    values[0, 0] = 0.3  # the batch's values are a read-only view of this array
-    with pytest.raises(PipelineError) as err:
-        run_pipeline_samples(batch)
-    assert err.value.stage == "stack"
-    assert "exactly +1/2 or -1/2" in str(err.value)
+    labels = np.zeros(30)
+    batch = SampleBatch(values, labels)
+    want = run_pipeline_samples(SampleBatch(values, labels))
+    values[0, 0] = 0.3  # invalid, were it to reach the batch
+    labels[:] = 1
+    got = run_pipeline_samples(batch)
+    assert got.obs.values.tobytes() == want.obs.values.tobytes()
+    assert np.array_equal(got.clustering.labels, want.clustering.labels)
+    assert got.evaluation.risk == want.evaluation.risk
 
 
 def test_library_built_batches_match_the_public_constructor():
     for batch in (sample_mixture(_spec(), 25, 1), mask(sample_mixture(_spec(), 25, 1), 0.4, 2)):
-        rebuilt = SampleBatch(batch.values, batch.labels, batch.row_ids)
-        for field in ("values", "labels", "row_ids"):
+        rebuilt = SampleBatch(batch.values, batch.labels)
+        for field in ("values", "labels"):
             built, checked = getattr(batch, field), getattr(rebuilt, field)
             assert built.dtype == checked.dtype and built.tobytes() == checked.tobytes()
             assert not built.flags.writeable
@@ -89,7 +91,7 @@ def test_every_public_constructor_refuses_an_invalid_matrix(bad, tmp_path):
     values[1, 1] = bad
     dense = np.where(values == 0.0, np.nan, values)
     refusals = {
-        "SampleBatch": lambda: SampleBatch(values, [0, 1], [0, 1]),
+        "SampleBatch": lambda: SampleBatch(values, [0, 1]),
         "ObservationMatrix": lambda: ObservationMatrix(values),
         "from_dense": lambda: ObservationMatrix.from_dense(dense),
         "write_observations": lambda: write_observations(tmp_path / "obs.txt", values),
@@ -100,7 +102,7 @@ def test_every_public_constructor_refuses_an_invalid_matrix(bad, tmp_path):
         with pytest.raises(ValueError, match="exactly"):
             build()
     assert not (tmp_path / "obs.txt").exists()
-    for build in (lambda: SampleBatch(values[0], [0], [0]), lambda: ObservationMatrix(values[0])):
+    for build in (lambda: SampleBatch(values[0], [0]), lambda: ObservationMatrix(values[0])):
         with pytest.raises(ValueError, match="2-d"):
             build()
 

@@ -67,6 +67,12 @@ def test_console_script_installed(tmp_path):
     assert "generate" in proc.stdout
 
 
+def test_package_and_project_versions_agree():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == rankmix.__version__
+
+
 def test_generate_writes_matrix_and_labels(tmp_path):
     spec_path = tmp_path / "mix.txt"
     _write_two_component_spec(spec_path)
@@ -122,7 +128,7 @@ def test_file_boundary_keeps_the_zero_marker(N, n, p, seed, bad):
     # in memory 0 marks a missing entry; generate writes it as NA, from_dense reads it back as 0
     rng = np.random.default_rng(seed)
     values = np.where(rng.random((N, n * (n - 1) // 2)) < 0.5, 0.5, -0.5)
-    batch = mask(SampleBatch(values, rng.integers(0, 3, N), np.arange(N)), p, seed)
+    batch = mask(SampleBatch(values, rng.integers(0, 3, N)), p, seed)
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(cli, "read_mixture_spec"), \
             mock.patch.object(cli, "sample_mixture"), \
@@ -138,7 +144,7 @@ def test_file_boundary_keeps_the_zero_marker(N, n, p, seed, bad):
     broken = batch.values.copy()
     broken[rng.integers(N), rng.integers(broken.shape[1])] = bad
     with pytest.raises(ValueError, match="exactly"):
-        SampleBatch(broken, batch.labels, batch.row_ids)
+        SampleBatch(broken, batch.labels)
     with pytest.raises(ValueError, match="exactly"):
         ObservationMatrix(broken)
 
@@ -284,3 +290,28 @@ def test_missing_file_reports_error(tmp_path, capsys):
                "--out", str(tmp_path / "out.txt")])
     assert rc == 1
     assert "nope.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("denoise", "3 x\n"),
+        ("denoise", "1.5 2\n0.5 NA\n"),
+        ("denoise", "1 -3\n0.5\n"),
+        ("evaluate", "0\n1\nx\n"),
+    ],
+    ids=("letter-size", "float-size", "negative-size", "letter-label"),
+)
+def test_malformed_header_or_label_names_the_file(tmp_path, capsys, command, body):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    if command == "denoise":
+        argv = ["denoise", "--in", str(path), "--auto", "--out", str(tmp_path / "out.txt")]
+    else:
+        write_labels(tmp_path / "truth.txt", [0, 1, 1])
+        argv = ["evaluate", "--pred", str(path), "--truth", str(tmp_path / "truth.txt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "bad.txt" in err
+    if command == "evaluate":
+        assert "bad.txt:3:" in err  # the line number of the bad label

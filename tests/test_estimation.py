@@ -88,11 +88,13 @@ def test_observation_matrix_fill_and_validation():
 
 
 def test_observation_matrix_leaves_the_callers_array_writable():
-    a = np.zeros((2, 2))
+    a = np.array([[0.5, -0.5], [0.0, 0.5]])
     obs = ObservationMatrix(a)
-    assert np.shares_memory(obs.values, a) and not obs.values.flags.writeable
-    a[0, 0] = 0.5
-    assert obs.values[0, 0] == 0.5  # a frozen view, not a copy
+    assert not obs.values.flags.writeable
+    want = compute_svd(obs)
+    a[0, 0] = 0.3  # invalid, were it to reach the exact float32 Gram product
+    assert obs.values.tolist() == [[0.5, -0.5], [0.0, 0.5]]  # a frozen copy
+    assert compute_svd(obs).singular_values.tobytes() == want.singular_values.tobytes()
 
 
 # --------------------------------------------------------------------- svd

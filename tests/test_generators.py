@@ -39,7 +39,7 @@ from rankmix.generators import (
 )
 from rankmix.pipeline import run_pipeline
 from rankmix.rankings import Permutation, embed
-from rankmix.seeding import TAG_MASK, TAG_SAMPLE, _keyed_uniforms, child_seed, substream
+from rankmix.seeding import TAG_MASK, TAG_SAMPLE, _keyed_uniforms, _keyed_words, child_seed, substream
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -348,7 +348,6 @@ def test_sample_mixture_single_component_labels():
     samples = sample_mixture(spec, 50, rng_seed=3)
     assert len(samples) == 50
     assert np.all(samples.labels == 0)
-    assert np.array_equal(samples.row_ids, np.arange(50))
 
 
 def test_sample_mixture_label_frequencies():
@@ -388,7 +387,6 @@ def _three_family_mixture(n):
 def test_sample_mixture_row_equals_its_own_one_row_block(seed, n, N):
     spec = _three_family_mixture(n)
     batch = sample_mixture(spec, N, seed)
-    assert np.array_equal(batch.row_ids, np.arange(N))
     for row in range(N):
         component = spec.components[batch.labels[row]]
         want = _per_row_reference(component, 1, _Replay(oracle_keyed_uniforms(seed, TAG_SAMPLE, row, n)))
@@ -397,18 +395,14 @@ def test_sample_mixture_row_equals_its_own_one_row_block(seed, n, N):
 
 def test_sample_batch_validates_in_bulk():
     values = np.array([[0.5, -0.5, 0.0], [-0.5, 0.5, 0.5]])
-    batch = SampleBatch(values, [0, 1], [4, 9])
+    batch = SampleBatch(values, [0, 1])
     assert len(batch) == 2 and batch.labels.dtype == np.int64
     with pytest.raises(ValueError):
-        SampleBatch(values, [0, 1], [4, 4])  # duplicate row ids
+        SampleBatch(values, [0])  # one label short
     with pytest.raises(ValueError):
-        SampleBatch(values, [0], [4, 9])  # one label short
+        SampleBatch(values[0], [0])  # not 2-d
     with pytest.raises(ValueError):
-        SampleBatch(values[0], [0], [4])  # not 2-d
-    with pytest.raises(ValueError):
-        SampleBatch(values * 2, [0, 1], [4, 9])  # +-1 is not an embedded value
-    with pytest.raises(ValueError, match="row ids must be non-negative"):
-        SampleBatch(values, [0, 1], [4, -3])  # row ids address Philox counters
+        SampleBatch(values * 2, [0, 1])  # +-1 is not an embedded value
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, 1.0, -1.0, 0.25, -0.25))
@@ -416,17 +410,32 @@ def test_sample_batch_refuses_every_value_but_the_three_markers(bad):
     values = np.array([[0.5, -0.5, 0.0], [-0.5, 0.5, 0.5]])
     values[1, 2] = bad
     with pytest.raises(ValueError, match="exactly \\+1/2 or -1/2, or 0 where missing"):
-        SampleBatch(values, [0, 1], [4, 9])
+        SampleBatch(values, [0, 1])
 
 
 def test_sample_batch_leaves_the_callers_arrays_writable():
     values = np.array([[0.5, -0.5], [0.0, 0.5]])
     labels = np.array([0, 1], dtype=np.int64)
-    batch = SampleBatch(values, labels, np.arange(2))
-    assert np.shares_memory(batch.values, values) and not batch.values.flags.writeable
-    values[0, 0] = -0.5
+    batch = SampleBatch(values, labels)
+    assert not (batch.values.flags.writeable or batch.labels.flags.writeable)
+    values[0, 0] = 0.3  # invalid, were it to reach the batch
     labels[0] = 1
-    assert batch.values[0, 0] == -0.5  # a frozen view, not a copy
+    assert batch.values.tolist() == [[0.5, -0.5], [0.0, 0.5]]  # a frozen copy
+    assert batch.labels.tolist() == [0, 1]
+
+
+def test_specs_leave_the_callers_arrays_writable():
+    u = np.array([1.0, 0.0, 2.0])
+    w = np.array([0.25, 0.75])
+    component = ComponentSpec.gaussian(u, 0.3)
+    spec = MixtureSpec([component, ComponentSpec.mnl(u, 1.0)], w)
+    assert u.flags.writeable and w.flags.writeable
+    assert not (component.utilities.flags.writeable or spec.weights.flags.writeable)
+    u[0] = 9.0
+    w[:] = 0.5
+    assert component.utilities.tolist() == [1.0, 0.0, 2.0]  # a frozen copy
+    assert spec.components[1].utilities.tolist() == [1.0, 0.0, 2.0]
+    assert spec.weights.tolist() == [0.25, 0.75]
 
 
 def test_negative_seed_is_refused_by_name():
@@ -494,31 +503,14 @@ def test_mask_observed_fraction_concentrates():
     assert abs(frac - 0.3) <= 0.002
 
 
-def test_mask_substreams_commute_with_row_order():
-    spec = _two_component_mixture(n=5)
-    samples = sample_mixture(spec, 30, rng_seed=6)
-    masked = mask(samples, 0.5, rng_seed=7)
-    perm = np.random.default_rng(0).permutation(30)
-    reordered = SampleBatch(samples.values[perm], samples.labels[perm], samples.row_ids[perm])
-    masked2 = mask(reordered, 0.5, rng_seed=7)
-    for out_pos, src in enumerate(perm):
-        a = masked2.values[out_pos]
-        b = masked.values[src]
-        assert np.array_equal(a, b)
-
-
 @pytest.mark.parametrize("N", (1, 500))
 @pytest.mark.parametrize("n", (2, 3, 7, 40))
 def test_mask_matches_per_row_reference(n, N):
     batch = sample_mixture(_three_family_mixture(n), N, rng_seed=n)
-    shuffled = SampleBatch(batch.values[::-1], batch.labels[::-1], 1000 + 3 * batch.row_ids[::-1])
-    for rows in (batch, shuffled):
-        for p in (0.05, 0.5, 1.0, np.float16(0.3)):
-            masked = mask(rows, p, rng_seed=9)
-            want = oracle_mask_rows(rows.values, rows.row_ids, p, 9, TAG_MASK)
-            assert np.array_equal(masked.values, want)
-            assert np.array_equal(masked.labels, rows.labels)
-            assert np.array_equal(masked.row_ids, rows.row_ids)
+    for p in (0.05, 0.5, 1.0, np.float16(0.3)):
+        masked = mask(batch, p, rng_seed=9)
+        assert np.array_equal(masked.values, oracle_mask_rows(batch.values, p, 9, TAG_MASK))
+        assert np.array_equal(masked.labels, batch.labels)
 
 
 def test_philox_oracle_known_answers():
@@ -531,49 +523,54 @@ def test_philox_oracle_known_answers():
     ]
 
 
-@st.composite
-def _row_ids(draw):
-    """Up to 40 unique ids in [0, 2**40): a few runs of consecutive ids at
-    random starts (so gapped, often single rows), in shuffled order."""
-    ids = []
-    for start in draw(st.lists(st.integers(0, 2**40 - 11), min_size=1, max_size=5)):
-        ids += range(start, start + draw(st.integers(1, 10)))
-    ids = list(dict.fromkeys(ids))[:40]
-    return draw(st.permutations(ids))
-
-
 @settings(max_examples=60, deadline=None)
-@given(ids=_row_ids(), width=st.integers(1, 50), seed=st.integers(0, 2**64 - 1))
-def test_keyed_uniforms_follow_the_counter_contract(ids, width, seed):
-    uniforms = _keyed_uniforms(seed, TAG_MASK, np.array(ids), width)
-    assert uniforms.shape == (len(ids), width)
+@given(rows=st.integers(0, 40), width=st.integers(1, 50), seed=st.integers(0, 2**64 - 1))
+def test_keyed_uniforms_follow_the_counter_contract(rows, width, seed):
+    uniforms = _keyed_uniforms(seed, TAG_MASK, rows, width)
+    assert uniforms.shape == (rows, width)
     assert ((uniforms > 0) & (uniforms < 1)).all()
-    for row, row_id in zip(uniforms, ids):
-        assert row.tolist() == oracle_keyed_uniforms(seed, TAG_MASK, row_id, width)
-    assert not np.array_equal(uniforms, _keyed_uniforms(seed, TAG_SAMPLE, np.array(ids), width))
-    values = np.where(np.random.default_rng(seed % 2**32).random((len(ids), width)) < 0.5, -0.5, 0.5)
-    batch = SampleBatch(values, np.zeros(len(ids)), ids)
+    for r, row in enumerate(uniforms):
+        assert row.tolist() == oracle_keyed_uniforms(seed, TAG_MASK, r, width)
+    if rows:
+        assert not np.array_equal(uniforms, _keyed_uniforms(seed, TAG_SAMPLE, rows, width))
+    values = np.where(np.random.default_rng(seed % 2**32).random((rows, width)) < 0.5, -0.5, 0.5)
+    batch = SampleBatch(values, np.zeros(rows))
     assert np.array_equal(mask(batch, 1.0, seed).values, values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    data=st.data(),
+    width=st.integers(1, 50),
+    seed=st.integers(0, 2**64 - 1),
+    p=st.sampled_from([0.05, 0.5, 1.0]),
+)
+def test_first_rows_do_not_depend_on_the_row_count(rows, data, width, seed, p):
+    m = data.draw(st.integers(0, rows))
+    assert np.array_equal(_keyed_words(seed, TAG_MASK, m, width), _keyed_words(seed, TAG_MASK, rows, width)[:m])
+    values = np.where(np.random.default_rng(seed % 2**32).random((rows, width)) < 0.5, -0.5, 0.5)
+    masked = mask(SampleBatch(values, np.zeros(rows)), p, seed).values
+    assert np.array_equal(mask(SampleBatch(values[:m], np.zeros(m)), p, seed).values, masked[:m])
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    ids=_row_ids(),
+    rows=st.integers(1, 40),
     width=st.integers(1, 30),
     seed=st.integers(0, 2**64 - 1),
     where=st.sampled_from(["below", "at", "above", "one", "tiny"]),
     data=st.data(),
 )
-def test_mask_integer_threshold_matches_the_float_oracle(ids, width, seed, where, data):
+def test_mask_integer_threshold_matches_the_float_oracle(rows, width, seed, where, data):
     # mask compares raw words with an integer threshold; the oracle compares float
     # uniforms with p. p = (k + 1/2) * 2**-52 is a uniform's exact value (k is one
     # cell's word >> 12), so "at" and its two float neighbours decide that cell at
     # the boundary; p = 1 keeps all, and p below 2**-53 keeps nothing
-    ids = np.array(ids)
-    values = np.where(np.random.default_rng(seed % 2**32).random((ids.size, width)) < 0.5, -0.5, 0.5)
-    batch = SampleBatch(values, np.zeros(ids.size), ids)
-    row, col = data.draw(st.integers(0, ids.size - 1)), data.draw(st.integers(0, width - 1))
-    cell = oracle_keyed_uniforms(seed, TAG_MASK, ids[row], width)[col]
+    values = np.where(np.random.default_rng(seed % 2**32).random((rows, width)) < 0.5, -0.5, 0.5)
+    batch = SampleBatch(values, np.zeros(rows))
+    row, col = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, width - 1))
+    cell = oracle_keyed_uniforms(seed, TAG_MASK, row, width)[col]
     p = {
         "below": np.nextafter(cell, 0.0),
         "at": cell,
@@ -582,7 +579,7 @@ def test_mask_integer_threshold_matches_the_float_oracle(ids, width, seed, where
         "tiny": data.draw(st.floats(5e-324, 2.0**-53, exclude_max=True)),
     }[where]
     masked = mask(batch, float(p), seed).values
-    assert masked.tobytes() == oracle_mask_rows(values, ids, p, seed, TAG_MASK).tobytes()
+    assert masked.tobytes() == oracle_mask_rows(values, p, seed, TAG_MASK).tobytes()
     if where in ("below", "at", "above"):
         assert (masked[row, col] != 0) == (where == "above")
     if where == "tiny":
@@ -590,20 +587,10 @@ def test_mask_integer_threshold_matches_the_float_oracle(ids, width, seed, where
 
 
 def test_no_rows_draw_no_words():
-    batch = SampleBatch(np.empty((0, 3)), np.empty(0), np.empty(0))
+    batch = SampleBatch(np.empty((0, 3)), np.empty(0))
     for p in (0.5, 1.0):
         assert mask(batch, p, 1).values.shape == (0, 3)
-    assert _keyed_uniforms(1, TAG_MASK, [], 5).shape == (0, 5)
-
-
-def test_keyed_uniforms_of_scattered_row_ids_match_the_oracle():
-    # every id is its own run, in shuffled order, so the counter is set once per row;
-    # for 2**62 + 3 and 2**63 - 1 the counter id * q needs a second 64-bit word once q > 1
-    ids = np.array([5, 2**62 + 3, 0, 17, 2**40, 9, 2, 2**63 - 1, 11, 7])
-    for width in (1, 4, 13):
-        uniforms = _keyed_uniforms(3, TAG_MASK, ids, width)
-        for row, row_id in zip(uniforms, ids):
-            assert row.tolist() == oracle_keyed_uniforms(3, TAG_MASK, row_id, width)
+    assert _keyed_uniforms(1, TAG_MASK, 0, 5).shape == (0, 5)
 
 
 # ------------------------------------------------------------------- helpers

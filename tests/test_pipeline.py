@@ -135,7 +135,7 @@ def test_permuting_rows_relabels_partition_and_keeps_risk(seed, perm_seed, p):
     spec = _gaussian_mixture(3, 10, 0.4, seed)
     batch = mask(sample_mixture(spec, 90, seed), p, seed)
     perm = np.random.default_rng(perm_seed).permutation(len(batch))
-    shuffled = SampleBatch(batch.values[perm], batch.labels[perm], batch.row_ids[perm])
+    shuffled = SampleBatch(batch.values[perm], batch.labels[perm])
     a = run_pipeline_samples(batch)
     b = run_pipeline_samples(shuffled)
     # same partition up to relabelling: the label pairs form a bijection
