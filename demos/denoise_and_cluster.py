@@ -7,6 +7,10 @@ the command line does:
     rankmix denoise --in obs.txt --auto --out mhat.txt
     rankmix cluster --in mhat.txt --auto --out labels.txt
     rankmix evaluate --pred labels.txt --truth obs.txt.labels
+
+denoise writes the rank-r estimate as two factors: mhat.txt holds the N x r
+coordinates and mhat.txt.basis the r x d basis with orthonormal rows, so the
+dense estimate is their product and cluster reads the coordinates directly.
 """
 
 import tempfile
@@ -20,6 +24,7 @@ from rankmix import (
     normal_utilities,
     read_key_values,
     read_labels,
+    read_matrix,
     run_pipeline,
     write_mixture_spec,
 )
@@ -52,6 +57,9 @@ rankmix_cli(["cluster", "--in", str(mhat), "--auto", "--out", str(labels)])
 print(f"\nfiles in {workdir}:")
 meta = read_key_values(str(mhat) + ".meta")
 print(f"  denoise meta: p_hat={meta['p_hat']} kept_rank={meta['kept_rank']}")
+coords, basis = read_matrix(mhat), read_matrix(str(mhat) + ".basis")
+m_hat = coords @ basis  # the dense estimate, rebuilt from its factors
+print(f"  denoise factors: {coords.shape} coordinates @ {basis.shape} basis = {m_hat.shape} estimate")
 print(f"  cluster found {read_key_values(str(labels) + '.meta')['k_hat']} clusters")
 print("evaluate says:")
 rankmix_cli(["evaluate", "--pred", str(labels), "--truth", str(obs) + ".labels"])

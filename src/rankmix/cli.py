@@ -7,6 +7,12 @@ so the stages can be chained from a shell:
     rankmix denoise --in obs.txt --auto --out mhat.txt
     rankmix cluster --in mhat.txt --auto --out labels.txt
     rankmix evaluate --pred labels.txt --truth obs.txt.labels
+
+denoise writes the rank-r estimate as its two factors: OUT holds the N x r
+coordinates U_r S_r / p_hat and OUT.basis the r x d matrix V_r^T, whose rows
+are orthonormal. The dense estimate is read_matrix(OUT) @ read_matrix(OUT.basis),
+and since V_r^T has orthonormal rows the rows of OUT lie at the same pairwise
+distances as those of the dense estimate, so cluster reads OUT as it is.
 """
 
 import argparse
@@ -46,7 +52,8 @@ def _cmd_denoise(args) -> int:
     svd = compute_svd(obs, top=top)  # enough values for the rule and for the .meta listing
     threshold = select_threshold(svd, target_rank=args.rank)
     estimate = hsvt(obs, threshold, svd=svd)
-    write_matrix(args.out, estimate.m_hat)
+    write_matrix(args.out, estimate.coords)
+    write_matrix(args.out + ".basis", estimate.Vt)
     write_key_values(
         args.out + ".meta",
         {
@@ -136,7 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rank", type=int, help="keep exactly this many singular values")
     group.add_argument("--auto", action="store_true", help="pick the rank from the spectrum")
-    p.add_argument("--out", required=True, help="denoised matrix file (details go to OUT.meta)")
+    p.add_argument(
+        "--out", required=True, help="coordinates file (basis goes to OUT.basis, details to OUT.meta)"
+    )
     p.set_defaults(func=_cmd_denoise)
 
     p = sub.add_parser("cluster", help="single-linkage clustering of matrix rows")

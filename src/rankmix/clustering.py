@@ -20,8 +20,6 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import pdist
 
-from .rankings import _read_only
-
 # fallback returns max MST weight scaled just past 1 so every edge survives
 _FALLBACK_MARGIN = 1e-9
 # a gap must beat this ratio (upper/lower weight) to count as a cluster split
@@ -30,7 +28,9 @@ _GAP_RATIO = 1.5
 
 @dataclass(frozen=True)
 class ClusteringResult:
-    """Labels plus the thresholding diagnostics that produced them."""
+    """Labels plus the thresholding diagnostics that produced them. The
+    result holds read-only copies of labels and mst_edge_weights, so the
+    caller's arrays stay writable and later writes to them do not reach it."""
 
     k_hat: int
     labels: np.ndarray
@@ -39,7 +39,9 @@ class ClusteringResult:
 
     def __post_init__(self):
         for name, dtype in (("labels", int), ("mst_edge_weights", float)):
-            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype=dtype)))
+            frozen = np.array(getattr(self, name), dtype=dtype)
+            frozen.setflags(write=False)
+            object.__setattr__(self, name, frozen)
 
 
 def _gap_threshold(w: np.ndarray) -> float:

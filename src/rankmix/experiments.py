@@ -117,7 +117,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, experiment: str, out_dir: str, paper_scale: bool = False):
         """Start from the defaults for the experiment, override from key=value."""
-        from .fileio import read_key_values
+        from .fileio import _list_of, _parsed, read_key_values
 
         kv = read_key_values(path)
         cfg = default_config(experiment, out_dir, paper_scale=paper_scale)
@@ -127,36 +127,28 @@ class ExperimentConfig:
                 raise ValueError(f"{path}: config declares {declared!r}, running {experiment!r}")
         if sum(key in kv for key in ("sigma", "beta", "noise")) > 1:
             raise ValueError(f"{path}: give at most one of sigma, beta and noise")
+        fields = {
+            "seed": ("seed", int),
+            "trials": ("trials", int),
+            "n": ("n_list", _list_of(int)),
+            "k": ("k", int),
+            "lambda": ("lam", float),
+            "p": ("p_list", _list_of(float)),
+            "sigma": ("noise_list", _list_of(float)),
+            "beta": ("noise_list", _list_of(float)),
+            "noise": ("noise_list", _list_of(float)),
+            "samples": ("samples", int),
+            "directions": ("directions", int),
+            "utilities": ("utilities_mode", str),
+        }
         changes: dict = {}
         for key, value in kv.items():
-            if key == "seed":
-                changes["seed"] = int(value)
-            elif key == "trials":
-                changes["trials"] = int(value)
-            elif key == "n":
-                changes["n_list"] = tuple(int(tok) for tok in value.split(","))
-            elif key == "k":
-                changes["k"] = int(value)
-            elif key == "lambda":
-                changes["lam"] = float(value)
-            elif key == "p":
-                changes["p_list"] = tuple(float(tok) for tok in value.split(","))
-            elif key == "sigma":
-                changes["noise_list"] = tuple(float(tok) for tok in value.split(","))
-                changes["family"] = GAUSSIAN
-            elif key == "beta":
-                changes["noise_list"] = tuple(float(tok) for tok in value.split(","))
-                changes["family"] = MNL
-            elif key == "noise":
-                changes["noise_list"] = tuple(float(tok) for tok in value.split(","))
-            elif key == "samples":
-                changes["samples"] = int(value)
-            elif key == "directions":
-                changes["directions"] = int(value)
-            elif key == "utilities":
-                changes["utilities_mode"] = value
-            else:
+            if key not in fields:
                 raise ValueError(f"{path}: unrecognized config key {key!r}")
+            name, convert = fields[key]
+            changes[name] = _parsed(path, key, value, convert)
+            if key in ("sigma", "beta"):
+                changes["family"] = GAUSSIAN if key == "sigma" else MNL
         return cfg.replace(**changes)
 
 

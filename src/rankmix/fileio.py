@@ -5,14 +5,19 @@ Three small formats, all line-oriented ASCII:
 * matrix: header line ``N d``, then N rows of entries with the literal
   token NA marking a missing value (NaN is written as NA; an infinite
   value is refused before the file is opened, since no reader accepts it).
-  write_observations writes the same format from an observation matrix
-  held in memory with 0 marking a missing value;
+  An N x 0 matrix is its header and N blank lines. write_observations
+  writes the same format from an observation matrix held in memory with 0
+  marking a missing value. CLI denoise writes its estimate as two matrix
+  files, the N x r coordinates and the r x d basis, whose product is the
+  dense estimate;
 * labels: one integer per line (integral floats and bools are written as
   integers; any other value is refused before the file is opened);
 * key=value: one pair per line (mixture specs, experiment configs, and the
   .meta sidecars), ``#`` comments and blank lines ignored.
 
-Floats are written with repr, so numeric round-trips are exact.
+Floats are written with repr, so numeric round-trips are exact. A value
+that does not parse is reported with the file's path and the row (matrices),
+the line (labels) or the key (key=value files).
 """
 
 from __future__ import annotations
@@ -66,21 +71,27 @@ def write_observations(path, values) -> None:
 
 def read_matrix(path) -> np.ndarray:
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        stripped = [line.strip() for line in fh]
+    lines = [line for line in stripped if line]
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
     header = lines[0].split()
     if len(header) != 2 or not all(size.isdecimal() for size in header):
         raise ValueError(f"{path}: header must be 'N d', two non-negative integers, got {lines[0]!r}")
     N, d = int(header[0]), int(header[1])
-    if len(lines) - 1 != N:
-        raise ValueError(f"{path}: header claims {N} rows, file has {len(lines) - 1}")
+    # blank lines are skipped, except that each row of an N x 0 matrix is one
+    rows = stripped[stripped.index(lines[0]) + 1:] if d == 0 else lines[1:]
+    if len(rows) != N:
+        raise ValueError(f"{path}: header claims {N} rows, file has {len(rows)}")
     out = np.empty((N, d), dtype=float)
-    for i, line in enumerate(lines[1:]):
+    for i, line in enumerate(rows):
         toks = line.split()
         if len(toks) != d:
             raise ValueError(f"{path}: row {i} has {len(toks)} entries, expected {d}")
-        out[i] = [math.nan if tok == "NA" else float(tok) for tok in toks]
+        try:
+            out[i] = [math.nan if tok == "NA" else float(tok) for tok in toks]
+        except ValueError as err:
+            raise ValueError(f"{path}: row {i}: {err}") from None
         if np.count_nonzero(~np.isfinite(out[i])) != toks.count("NA"):
             raise ValueError(f"{path}: row {i} has a non-finite entry; only NA marks a missing value")
     return out
@@ -157,17 +168,30 @@ def write_mixture_spec(path, spec: MixtureSpec) -> None:
     write_key_values(path, pairs)
 
 
-def _pop_required(kv: dict, key: str, path) -> str:
+def _list_of(convert, sep: str | None = ","):
+    """A parser of a sep-separated list: text -> tuple of convert(token)."""
+    return lambda text: tuple(convert(tok) for tok in text.split(sep))
+
+
+def _parsed(path, key: str, text: str, convert):
+    """convert(text), raising a ValueError that names the file and the key."""
+    try:
+        return convert(text)
+    except ValueError as err:
+        raise ValueError(f"{path}: cannot parse {key}={text!r}: {err}") from None
+
+
+def _pop_required(kv: dict, key: str, path, convert=str):
     if key not in kv:
         raise ValueError(f"{path}: missing key {key!r}")
-    return kv.pop(key)
+    return _parsed(path, key, kv.pop(key), convert)
 
 
 def read_mixture_spec(path) -> MixtureSpec:
     kv = read_key_values(path)
-    n = int(_pop_required(kv, "n", path))
-    k = int(_pop_required(kv, "k", path))
-    weights = [float(tok) for tok in _pop_required(kv, "weights", path).split(",")]
+    n = _pop_required(kv, "n", path, int)
+    k = _pop_required(kv, "k", path, int)
+    weights = _pop_required(kv, "weights", path, _list_of(float))
     if len(weights) != k:
         raise ValueError(f"{path}: k={k} but weights has {len(weights)} entries")
     components = []
@@ -176,14 +200,14 @@ def read_mixture_spec(path) -> MixtureSpec:
         family = _pop_required(kv, f"{prefix}.family", path)
         if family not in _NOISE_KEY:
             raise ValueError(f"{path}: unknown family {family!r} for component {i}")
-        noise = float(_pop_required(kv, f"{prefix}.{_NOISE_KEY[family]}", path))
+        noise = _pop_required(kv, f"{prefix}.{_NOISE_KEY[family]}", path, float)
         if family == MALLOWS:
-            order = [int(tok) for tok in _pop_required(kv, f"{prefix}.center", path).split()]
+            order = _pop_required(kv, f"{prefix}.center", path, _list_of(int, None))
             if len(order) != n:
                 raise ValueError(f"{path}: component {i} center has {len(order)} items, expected {n}")
             components.append(ComponentSpec.mallows(Permutation(order), noise))
         else:
-            utilities = [float(tok) for tok in _pop_required(kv, f"{prefix}.utilities", path).split(",")]
+            utilities = _pop_required(kv, f"{prefix}.utilities", path, _list_of(float))
             if len(utilities) != n:
                 raise ValueError(
                     f"{path}: component {i} utilities has {len(utilities)} entries, expected {n}"

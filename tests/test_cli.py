@@ -16,7 +16,15 @@ from hypothesis import strategies as st
 import rankmix
 from rankmix import cli
 from rankmix.cli import main
-from rankmix.estimation import ObservationMatrix, estimate_p_hat
+from rankmix.clustering import single_linkage
+from rankmix.estimation import (
+    ObservationMatrix,
+    _values_read,
+    compute_svd,
+    estimate_p_hat,
+    hsvt,
+    select_threshold,
+)
 from rankmix.fileio import (
     read_key_values,
     read_labels,
@@ -25,6 +33,7 @@ from rankmix.fileio import (
     write_mixture_spec,
 )
 from rankmix.generators import ComponentSpec, MixtureSpec, SampleBatch, mask
+from rankmix.rankings import Permutation
 
 
 def _write_two_component_spec(path, n=12, sigma=0.3, seed=0):
@@ -158,9 +167,11 @@ def test_denoise_rank_and_meta(tmp_path):
     denoised = tmp_path / "mhat.txt"
     rc = main(["denoise", "--in", str(obs), "--rank", "2", "--out", str(denoised)])
     assert rc == 0
-    m_hat = read_matrix(denoised)
-    assert m_hat.shape == (60, 66)
-    assert not np.isnan(m_hat).any()
+    coords = read_matrix(denoised)
+    basis = read_matrix(str(denoised) + ".basis")
+    assert coords.shape == (60, 2)
+    assert basis.shape == (2, 66)
+    assert not np.isnan(coords).any() and not np.isnan(basis).any()
     meta = read_key_values(str(denoised) + ".meta")
     assert meta["kept_rank"] == "2"
     assert float(meta["p_hat"]) == 1.0
@@ -168,6 +179,70 @@ def test_denoise_rank_and_meta(tmp_path):
     svals = [float(tok) for tok in meta["singular_values"].split(",")]
     assert len(svals) == 20
     assert svals == sorted(svals, reverse=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["gaussian", "mallows"]),
+    st.integers(3, 8),
+    st.integers(2, 40),
+    st.sampled_from([0.3, 0.7, 1.0]),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.none(), st.integers(1, 4)),
+)
+def test_denoise_writes_the_factors_of_hsvt(family, n, N, p, seed, rank):
+    # OUT and OUT.basis are hsvt's coords and Vt; their product is m_hat and
+    # cluster on OUT decides as single_linkage on the dense m_hat does
+    rng = np.random.default_rng(seed)
+    if family == "gaussian":
+        comps = [ComponentSpec.gaussian(rng.normal(size=n), 0.3) for _ in range(2)]
+    else:
+        comps = [ComponentSpec.mallows(Permutation(rng.permutation(n)), 0.5) for _ in range(2)]
+    d = n * (n - 1) // 2
+    if rank is not None:
+        rank = min(rank, N, d)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path, obs_path, out, labels = (str(Path(tmp) / name) for name in
+                                            ("mix.txt", "obs.txt", "mhat.txt", "labels.txt"))
+        write_mixture_spec(spec_path, MixtureSpec(comps, [0.5, 0.5]))
+        assert main(["generate", "--spec", spec_path, "--num", str(N), "--p", str(p),
+                     "--seed", str(seed), "--out", obs_path]) == 0
+        how = ["--auto"] if rank is None else ["--rank", str(rank)]
+        assert main(["denoise", "--in", obs_path, *how, "--out", out]) == 0
+        assert main(["cluster", "--in", out, "--auto", "--out", labels]) == 0
+        obs = ObservationMatrix.from_dense(read_matrix(obs_path))
+        coords, basis = read_matrix(out), read_matrix(out + ".basis")
+        predicted, meta = read_labels(labels), read_key_values(labels + ".meta")
+    top = max(_values_read(N, d, rank), min(cli.TOP_SINGULAR_VALUES, N, d))
+    svd = compute_svd(obs, top=top)
+    estimate = hsvt(obs, select_threshold(svd, target_rank=rank), svd=svd)
+    assert coords.tobytes() == estimate.coords.tobytes()
+    assert basis.tobytes() == estimate.Vt.tobytes()
+    r = estimate.kept_rank
+    assert coords.shape == (N, r) and basis.shape == (r, d)
+    assert np.abs(basis @ basis.T - np.eye(r)).max(initial=0.0) <= 1e-12
+    atol = 1e-12 * np.abs(estimate.m_hat).max()
+    assert np.abs(coords @ basis - estimate.m_hat).max() <= atol
+    dense = single_linkage(estimate.m_hat)
+    assert predicted.tolist() == dense.labels.tolist()
+    assert int(meta["k_hat"]) == dense.k_hat
+    assert float(meta["threshold_used"]) == pytest.approx(dense.threshold_used, rel=1e-12, abs=atol)
+    weights = [float(tok) for tok in meta["mst_edge_weights"].split(",")]
+    assert np.allclose(weights, dense.mst_edge_weights, rtol=1e-12, atol=atol)
+
+
+def test_all_missing_observations_denoise_to_rank_zero_and_one_cluster(tmp_path, capsys):
+    # an all-NA file keeps rank 0: OUT is N x 0 and every row sits at distance 0
+    obs, out, labels = tmp_path / "obs.txt", tmp_path / "mhat.txt", tmp_path / "labels.txt"
+    obs.write_text("5 6\n" + "NA NA NA NA NA NA\n" * 5)
+    assert main(["denoise", "--in", str(obs), "--auto", "--out", str(out)]) == 0
+    assert read_key_values(str(out) + ".meta")["kept_rank"] == "0"
+    assert read_matrix(out).shape == (5, 0)
+    assert read_matrix(str(out) + ".basis").shape == (0, 6)
+    assert main(["cluster", "--in", str(out), "--auto", "--out", str(labels)]) == 0
+    assert read_key_values(str(labels) + ".meta")["k_hat"] == "1"
+    assert read_labels(labels).tolist() == [0] * 5
+    assert capsys.readouterr().err == ""
 
 
 def test_denoise_auto(tmp_path):
@@ -315,3 +390,28 @@ def test_malformed_header_or_label_names_the_file(tmp_path, capsys, command, bod
     assert "bad.txt" in err
     if command == "evaluate":
         assert "bad.txt:3:" in err  # the line number of the bad label
+
+
+@pytest.mark.parametrize(
+    "command, body, named",
+    [
+        ("generate", "n=x\nk=1\n", "n='x'"),
+        ("generate", "n=2\nk=1\nweights=abc\n", "weights='abc'"),
+        ("experiment", "trials=x\n", "trials='x'"),
+        ("denoise", "2 2\n0.5 NA\n0.5 x\n", "row 1"),
+    ],
+    ids=("spec-n", "spec-weights", "config-trials", "matrix-token"),
+)
+def test_unparsable_value_names_the_file_and_the_key_or_row(tmp_path, capsys, command, body, named):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    out = str(tmp_path / "out")
+    argv = {
+        "generate": ["generate", "--spec", str(path), "--num", "3", "--p", "1.0", "--seed", "0", "--out", out],
+        "experiment": ["experiment", "exp2", "--config", str(path), "--out", out],
+        "denoise": ["denoise", "--in", str(path), "--auto", "--out", out],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: " in err
+    assert named in err

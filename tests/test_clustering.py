@@ -77,6 +77,15 @@ def test_labels_surjective_and_result_fields():
     assert np.all(np.diff(res.mst_edge_weights) >= 0)
 
 
+def test_result_holds_frozen_copies_of_the_callers_arrays():
+    labels, weights = np.array([0, 1]), np.array([1.0])
+    res = ClusteringResult(2, labels, 0.5, weights)
+    labels[0], weights[0] = 5, 9.0  # the caller's arrays stay writable
+    assert res.labels.tolist() == [0, 1]
+    assert res.mst_edge_weights.tolist() == [1.0]
+    assert not res.labels.flags.writeable and not res.mst_edge_weights.flags.writeable
+
+
 def test_labels_assigned_by_first_appearance():
     # rows laid out so the second cluster's first member appears at index 1
     rows = np.array([[0.0], [100.0], [0.1], [100.1], [0.2]])

@@ -1,8 +1,9 @@
-"""Every narrated demo under demos/, and README's Python blocks, run to
-completion against this package."""
+"""Every narrated demo under demos/, README's Python blocks and its
+command-line chain run to completion against this package."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import rankmix
+from rankmix import ComponentSpec, MixtureSpec, cli, normal_utilities, write_mixture_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -33,6 +35,23 @@ def test_readme_python_blocks_run(tmp_path):
         [sys.executable, "-c", "\n".join(blocks)], capture_output=True, text=True, cwd=tmp_path, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_chain_runs(tmp_path, monkeypatch, capsys):
+    # README's generate -> denoise -> cluster -> evaluate lines, flags as printed
+    stages = ("generate", "denoise", "cluster", "evaluate")
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    chain = [argv[1:] for argv in (shlex.split(line, comments=True) for block in blocks
+                                   for line in block.splitlines())
+             if argv[:1] == ["rankmix"] and argv[1] in stages]
+    assert [argv[0] for argv in chain] == list(stages)
+    monkeypatch.chdir(tmp_path)
+    comps = [ComponentSpec.gaussian(normal_utilities(10, c), 0.3) for c in range(2)]
+    write_mixture_spec("mix.txt", MixtureSpec(comps, [0.5, 0.5]))
+    for argv in chain:
+        assert cli.main(argv) == 0, argv
+    risk = float(re.search(r"^risk=(.*)$", capsys.readouterr().out, re.M).group(1))
+    assert 0.0 <= risk <= 1.0
 
 
 def test_public_names_resolve_once():

@@ -61,6 +61,27 @@ def test_matrix_roundtrip_general_floats(tmp_path):
     assert np.array_equal(read_matrix(path), arr)  # repr round-trips exactly
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (1, 0), (0, 4), (0, 0)])
+def test_matrix_roundtrip_with_no_rows_or_no_columns(tmp_path, shape):
+    path = tmp_path / "m.txt"
+    write_matrix(path, np.zeros(shape))
+    back = read_matrix(path)
+    assert back.shape == shape and back.dtype == float
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("3 0\n\n\n", "header claims 3 rows, file has 2"),
+     ("3 0\n\n\n\n\n", "header claims 3 rows, file has 4"),
+     ("2 0\n\n0.5\n", "row 1 has 1 entries, expected 0")],
+)
+def test_zero_column_matrix_keeps_the_row_checks(tmp_path, body, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=message):
+        read_matrix(path)
+
+
 def test_matrix_shape_mismatch(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 3\n0.5 NA 0.5\n0.5 0.5\n")
