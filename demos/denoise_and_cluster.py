@@ -43,27 +43,28 @@ for key, value in result.diagnostics.items():
     print(f"  {key} = {value}")
 print(f"k_hat = {result.clustering.k_hat},  risk = {result.evaluation.risk:.4f}")
 
-# same thing through the file formats / CLI entry point
-workdir = Path(tempfile.mkdtemp(prefix="rankmix_demo_"))
-mix = workdir / "mix.txt"
-obs = workdir / "obs.txt"
-mhat = workdir / "mhat.txt"
-labels = workdir / "labels.txt"
-write_mixture_spec(mix, spec)
-rankmix_cli(["generate", "--spec", str(mix), "--num", "300", "--p", "0.7",
-             "--seed", "5", "--out", str(obs)])
-rankmix_cli(["denoise", "--in", str(obs), "--auto", "--out", str(mhat)])
-rankmix_cli(["cluster", "--in", str(mhat), "--auto", "--out", str(labels)])
-print(f"\nfiles in {workdir}:")
-meta = read_key_values(str(mhat) + ".meta")
-print(f"  denoise meta: p_hat={meta['p_hat']} kept_rank={meta['kept_rank']}")
-coords, basis = read_matrix(mhat), read_matrix(str(mhat) + ".basis")
-m_hat = coords @ basis  # the dense estimate, rebuilt from its factors
-print(f"  denoise factors: {coords.shape} coordinates @ {basis.shape} basis = {m_hat.shape} estimate")
-print(f"  cluster found {read_key_values(str(labels) + '.meta')['k_hat']} clusters")
-print("evaluate says:")
-rankmix_cli(["evaluate", "--pred", str(labels), "--truth", str(obs) + ".labels"])
+# same thing through the file formats / CLI entry point, in a directory removed afterwards
+with tempfile.TemporaryDirectory(prefix="rankmix_demo_") as tmp:
+    workdir = Path(tmp)
+    mix = workdir / "mix.txt"
+    obs = workdir / "obs.txt"
+    mhat = workdir / "mhat.txt"
+    labels = workdir / "labels.txt"
+    write_mixture_spec(mix, spec)
+    rankmix_cli(["generate", "--spec", str(mix), "--num", "300", "--p", "0.7",
+                 "--seed", "5", "--out", str(obs)])
+    rankmix_cli(["denoise", "--in", str(obs), "--auto", "--out", str(mhat)])
+    rankmix_cli(["cluster", "--in", str(mhat), "--auto", "--out", str(labels)])
+    print(f"\nfiles in {workdir}:")
+    meta = read_key_values(str(mhat) + ".meta")
+    print(f"  denoise meta: p_hat={meta['p_hat']} kept_rank={meta['kept_rank']}")
+    coords, basis = read_matrix(mhat), read_matrix(str(mhat) + ".basis")
+    m_hat = coords @ basis  # the dense estimate, rebuilt from its factors
+    print(f"  denoise factors: {coords.shape} coordinates @ {basis.shape} basis = {m_hat.shape} estimate")
+    print(f"  cluster found {read_key_values(str(labels) + '.meta')['k_hat']} clusters")
+    print("evaluate says:")
+    rankmix_cli(["evaluate", "--pred", str(labels), "--truth", str(obs) + ".labels"])
 
-# the two routes see the same data: identical label files modulo nothing
-assert read_labels(labels).tolist() == result.clustering.labels.tolist()
-print("\nCLI labels match the library run exactly.")
+    # the two routes see the same data: identical label files modulo nothing
+    assert read_labels(labels).tolist() == result.clustering.labels.tolist()
+    print("\nCLI labels match the library run exactly.")

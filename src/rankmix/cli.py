@@ -8,11 +8,13 @@ so the stages can be chained from a shell:
     rankmix cluster --in mhat.txt --auto --out labels.txt
     rankmix evaluate --pred labels.txt --truth obs.txt.labels
 
-denoise writes the rank-r estimate as its two factors: OUT holds the N x r
-coordinates U_r S_r / p_hat and OUT.basis the r x d matrix V_r^T, whose rows
-are orthonormal. The dense estimate is read_matrix(OUT) @ read_matrix(OUT.basis),
+denoise runs rankmix.pipeline.denoise and writes the rank-r estimate as its
+two factors: OUT holds the N x r U_r S_r / p_hat and OUT.basis the r x d matrix V_r^T, whose rows are
+orthonormal. The dense estimate is read_matrix(OUT) @ read_matrix(OUT.basis),
 and since V_r^T has orthonormal rows the rows of OUT lie at the same pairwise
 distances as those of the dense estimate, so cluster reads OUT as it is.
+OUT.meta lists the singular values the t1 rule read: ceil(sqrt(min(N, d))) + 1
+with --auto, r + 1 with --rank r.
 """
 
 import argparse
@@ -21,7 +23,7 @@ import sys
 import numpy as np
 
 from .clustering import single_linkage
-from .estimation import ObservationMatrix, _values_read, compute_svd, hsvt, select_threshold
+from .estimation import ObservationMatrix
 from .evaluation import empirical_tau, misclassification_rate
 from .experiments import EXPERIMENTS, ExperimentConfig, default_config, run_experiment
 from .fileio import (
@@ -34,8 +36,7 @@ from .fileio import (
     write_observations,
 )
 from .generators import mask, sample_mixture
-
-TOP_SINGULAR_VALUES = 20
+from .pipeline import PipelineError, denoise
 
 
 def _cmd_generate(args) -> int:
@@ -47,11 +48,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    obs = ObservationMatrix.from_dense(read_matrix(args.infile))
-    top = max(_values_read(obs.N, obs.d, args.rank), min(TOP_SINGULAR_VALUES, obs.N, obs.d))
-    svd = compute_svd(obs, top=top)  # enough values for the rule and for the .meta listing
-    threshold = select_threshold(svd, target_rank=args.rank)
-    estimate = hsvt(obs, threshold, svd=svd)
+    svd, estimate = denoise(ObservationMatrix.from_dense(read_matrix(args.infile)), args.rank)
     write_matrix(args.out, estimate.coords)
     write_matrix(args.out + ".basis", estimate.Vt)
     write_key_values(
@@ -60,7 +57,7 @@ def _cmd_denoise(args) -> int:
             "p_hat": estimate.p_hat,
             "threshold_used": estimate.threshold_used,
             "kept_rank": estimate.kept_rank,
-            "singular_values": svd.singular_values[:TOP_SINGULAR_VALUES],
+            "singular_values": svd.singular_values,
         },
     )
     return 0
@@ -186,7 +183,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, PipelineError) as err:
         print(f"rankmix: error: {err}", file=sys.stderr)
         return 1
 

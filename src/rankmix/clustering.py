@@ -24,6 +24,7 @@ from scipy.spatial.distance import pdist
 _FALLBACK_MARGIN = 1e-9
 # a gap must beat this ratio (upper/lower weight) to count as a cluster split
 _GAP_RATIO = 1.5
+_TIE = 32 * np.finfo(float).eps  # gaps this close to the largest, per unit weight, are tied
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,13 @@ class ClusteringResult:
 def _gap_threshold(w: np.ndarray) -> float:
     """Midpoint of the largest gap in the sorted MST weights w.
 
+    Gaps within _TIE * w_max of the largest are tied and the first wins, so
+    rounding does not pick between equal gaps: with the rows taken as exact,
+    a distance over c coordinates is within (c/2 + 2) eps relative, so two
+    equal gaps differ by at most (2c + 10) eps w_max once computed. _TIE is
+    that bound at c = 11; the kept ranks (c of the pipeline's coordinates)
+    in the default experiments and the benchmark workloads are at most 5.
+
     A split is only trusted when the weights across the chosen gap differ by
     at least _GAP_RATIO; otherwise (including all-equal weights) the spacing
     looks like a single cluster and the returned threshold exceeds every MST
@@ -56,7 +64,8 @@ def _gap_threshold(w: np.ndarray) -> float:
     fallback = w_max * (1.0 + _FALLBACK_MARGIN) + _FALLBACK_MARGIN
     if w.size == 1:
         return fallback
-    g = int(np.argmax(np.diff(w)))
+    gaps = np.diff(w)
+    g = int(np.argmax(gaps >= gaps.max() - _TIE * w_max))
     lo, hi = float(w[g]), float(w[g + 1])
     if hi <= 0.0:
         return fallback

@@ -12,14 +12,14 @@ sigma_j > t1), and rescales by the estimated observation probability:
 The SVD comes from one symmetric eigensolve of the min(N, d)-square Gram
 matrix of Y, at a fraction of the cost of LAPACK's bidiagonal SVD, and only
 for the leading singular triples the threshold rule reads: compute_svd's
-top, which the pipeline sets to _values_read (ceil(sqrt(min(N, d))) + 1
-without a rank hint, r + 1 with one) and which defaults to all min(N, d).
+top, which pipeline.denoise (run by the pipeline and by CLI denoise) sets to
+_values_read (ceil(sqrt(min(N, d))) + 1 without a rank hint, r + 1 with
+one) and which defaults to all min(N, d).
 Every BLAS call, from the Gram product to the back-products and m_hat, runs
 on scipy's BLAS: numpy and scipy may each link their own OpenBLAS, each
 with its own thread pool, and work handed from one pool to the other pays
 for both. Observation data always takes the exact float32 Gram product of
-an ObservationMatrix (see compute_svd; hsvt passes its y on). CLI denoise
-asks for at least 20 values, so its .meta sidecar still lists the top 20.
+an ObservationMatrix (see compute_svd; hsvt passes its y on).
 SvdResult states the accuracy this gives.
 
 The estimate is held as its rank-r factors, left = U_r S_r and Vt = V_r^T,
@@ -109,13 +109,13 @@ class SvdResult:
 
     Accuracy of compute_svd's Gram route, which squares the condition number:
     sigma_j carries an absolute error of about eps * sigma_1^2 / sigma_j
-    (eps = 2.2e-16). Values well above sqrt(eps) * sigma_1 are accurate to
-    near machine precision; values below about sqrt(eps) * sigma_1
-    (1.5e-8 sigma_1) are noise, and a negative eigenvalue gives sigma_j = 0.
-    The eigenvector side (Vt when N >= d, U when N < d) is orthonormal to
-    rounding. On the other side the vector of a zero sigma_j is a zero
-    column, and the others are orthonormal to about eps * sigma_1^2 /
-    (sigma_i * sigma_j).
+    (eps = 2.2e-16), and values below about sqrt(eps) * sigma_1 (1.5e-8
+    sigma_1) are noise; ||a v_j|| is accurate to about eps * sigma_1. Noise
+    comes back as exact 0: sigma_j = 0 when sigma_j or ||a v_j|| is at most
+    sqrt(eps) * sigma_1, and so is every later value. The eigenvector side
+    (Vt when N >= d, U when N < d) is orthonormal to rounding. On the other
+    side the vector of a zero sigma_j is a zero column, and the others are
+    orthonormal to about eps * sigma_1^2 / (sigma_i * sigma_j).
     """
 
     singular_values: np.ndarray
@@ -227,8 +227,10 @@ def compute_svd(y, top: int | None = None) -> SvdResult:
     s = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
     v = np.asfortranarray(v[:, ::-1])  # descending order, in the layout gemm takes uncopied
     w = dgemm(1.0, values.T, v, trans_a=int(not wide))  # a @ v
-    np.divide(w, s, out=w, where=s > 0)
-    w[:, s == 0] = 0.0
+    floor = _NOISE_FLOOR * s[0]  # numerical zero, decided once (see SvdResult)
+    zero = np.logical_or.accumulate((s <= floor) | (np.linalg.norm(w, axis=0) <= floor))
+    s[zero] = w[:, zero] = 0.0
+    np.divide(w, s, out=w, where=~zero)
     return SvdResult(s, v, w.T) if wide else SvdResult(s, w, v.T)
 
 
@@ -287,12 +289,12 @@ def select_threshold(svd: SvdResult, target_rank: int | None = None) -> float:
 
     With a target rank r (an integer value; 2.7, NaN and inf raise) the
     threshold is the midpoint (sigma_r + sigma_{r+1})/2, taking sigma beyond
-    a full spectrum (r = min(N, d)) as 0, so exactly r components survive.
+    a full spectrum (r = min(N, d)) as 0, so at most r components survive;
+    a numerically zero sigma (exactly 0, see SvdResult) never does.
     Without one, r is chosen as the largest relative gap sigma_j/sigma_{j+1}
     over j <= ceil(sqrt(min(N, d))) -- the cap keeps noise-floor ratios out
-    of the search -- and the same midpoint applies. In that search a value at
-    or below the sqrt(eps) * sigma_1 noise floor of SvdResult counts as 0, so
-    the gap after the last value above it is infinite and 0/0 is no gap.
+    of the search -- and the same midpoint applies. The gap after the last
+    nonzero value is infinite, and 0/0 is no gap.
     Raises ValueError when a truncated svd (from compute_svd's top) holds
     fewer values than the rule reads (_values_read).
     """
@@ -306,9 +308,7 @@ def select_threshold(svd: SvdResult, target_rank: int | None = None) -> float:
     if s.size < reads:
         raise ValueError(f"the threshold rule reads {reads} singular values, the svd holds {s.size} of {m}")
     if target_rank is None:
-        head = s[:reads]
-        head = head * (head > _NOISE_FLOOR * s[0])  # noise-floor values count as 0
-        num, den = head[:-1], head[1:]
+        num, den = s[: reads - 1], s[1:reads]
         ratios = np.divide(num, den, out=np.where(num > 0, np.inf, 0.0), where=den > 0)  # 0/0 is no gap
         r = int(np.argmax(ratios)) + 1
     nxt = s[r] if r < m else 0.0

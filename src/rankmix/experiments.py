@@ -43,7 +43,6 @@ EXPERIMENTS = ("exp1", "exp2", "exp3")
 EXP2_COLUMNS = ("n", "k", "sigma_or_beta", "p", "trial", "risk", "k_hat", "p_hat", "t1", "t2")
 EXP3_COLUMNS = ("family", "n", "sigma_or_beta", "samples", "trials", "tau_hat")
 EXP3_FAMILIES = (MNL, GAUSSIAN)
-UTILITIES_MODES = ("zero", "normal")
 
 _DESK = {
     "exp1": dict(
@@ -86,7 +85,6 @@ class ExperimentConfig:
     family: str = GAUSSIAN
     samples: int = 1000
     directions: int = 32
-    utilities_mode: str = "zero"
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -105,8 +103,6 @@ class ExperimentConfig:
             raise ValueError(f"family must be gaussian or mnl, got {self.family!r}")
         if self.samples < 100 or self.directions < 1:
             raise ValueError("need samples >= 100 and directions >= 1")
-        if self.utilities_mode not in UTILITIES_MODES:
-            raise ValueError(f"utilities mode must be one of {UTILITIES_MODES}")
         if self.experiment == "exp1" and (len(self.p_list) != 1 or self.trials != 1):
             # exp1 dumps one sigma-block per noise level from trial 0 at p_list[0]
             raise ValueError("exp1 takes exactly one p and one trial")
@@ -139,7 +135,6 @@ class ExperimentConfig:
             "noise": ("noise_list", _list_of(float)),
             "samples": ("samples", int),
             "directions": ("directions", int),
-            "utilities": ("utilities_mode", str),
         }
         changes: dict = {}
         for key, value in kv.items():
@@ -273,25 +268,15 @@ def _run_exp2(cfg: ExperimentConfig, out: Path) -> list[str]:
     return [_write_csv(out / "exp2_risk.csv", EXP2_COLUMNS, rows)]
 
 
-def _exp3_spec(
-    cfg: ExperimentConfig, family: str, fam_idx: int, n: int, noise: float, noise_idx: int, trial: int
-):
-    if cfg.utilities_mode == "zero":
-        u = np.zeros(n)
-    else:
-        u = normal_utilities(n, substream(cfg.seed, TAG_UTILITIES, fam_idx, n, noise_idx, trial))
-    return ComponentSpec(family, float(noise), utilities=u)
-
-
 def _run_exp3(cfg: ExperimentConfig, out: Path) -> list[str]:
     paths = []
     for fam_idx, family in enumerate(EXP3_FAMILIES):
         rows = []
         for n in cfg.n_list:
             for noise_idx, noise in enumerate(cfg.noise_list):
+                spec = ComponentSpec(family, float(noise), utilities=np.zeros(n))
                 taus = []
                 for trial in range(cfg.trials):
-                    spec = _exp3_spec(cfg, family, fam_idx, n, noise, noise_idx, trial)
                     taus.append(
                         empirical_tau(
                             spec,

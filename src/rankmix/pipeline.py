@@ -66,6 +66,19 @@ class PipelineResult:
         return iter((self.clustering, self.evaluation))
 
 
+def denoise(obs: ObservationMatrix, rank_hint: int | None = None) -> tuple[SvdResult, HsvtEstimate]:
+    """SVD, t1 (from the rank hint, else the spectral gap) and HSVT of obs, as
+    run by the pipeline and by CLI denoise. The svd holds exactly the leading
+    singular values the t1 rule read (_values_read)."""
+    with _stage("svd"):
+        svd = compute_svd(obs, top=_values_read(obs.N, obs.d, rank_hint))
+    with _stage("select_t1"):
+        t1 = select_threshold(svd, target_rank=rank_hint)
+    with _stage("hsvt"):
+        estimate = hsvt(obs, t1, svd=svd)
+    return svd, estimate
+
+
 def run_pipeline_samples(batch: SampleBatch, exact_means=None, rank_hint: int | None = None) -> PipelineResult:
     """Denoise-cluster-score a batch of labeled (possibly masked) rows.
 
@@ -74,12 +87,7 @@ def run_pipeline_samples(batch: SampleBatch, exact_means=None, rank_hint: int | 
     """
     with _stage("stack"):
         obs = ObservationMatrix.from_samples(batch)
-    with _stage("svd"):
-        svd = compute_svd(obs, top=_values_read(obs.N, obs.d, rank_hint))
-    with _stage("select_t1"):
-        t1 = select_threshold(svd, target_rank=rank_hint)
-    with _stage("hsvt"):
-        estimate = hsvt(obs, t1, svd=svd)
+    svd, estimate = denoise(obs, rank_hint)
     with _stage("cluster"):
         clustering = single_linkage(estimate.coords)
     with _stage("evaluate"):
@@ -92,7 +100,7 @@ def run_pipeline_samples(batch: SampleBatch, exact_means=None, rank_hint: int | 
         "N": obs.N,
         "d": obs.d,
         "p_hat": estimate.p_hat,
-        "t1": t1,
+        "t1": estimate.threshold_used,
         "t2": clustering.threshold_used,
         "kept_rank": estimate.kept_rank,
         "k_hat": clustering.k_hat,

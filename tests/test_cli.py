@@ -10,21 +10,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rankmix
 from rankmix import cli
 from rankmix.cli import main
 from rankmix.clustering import single_linkage
-from rankmix.estimation import (
-    ObservationMatrix,
-    _values_read,
-    compute_svd,
-    estimate_p_hat,
-    hsvt,
-    select_threshold,
-)
+from rankmix.estimation import ObservationMatrix, estimate_p_hat
 from rankmix.fileio import (
     read_key_values,
     read_labels,
@@ -33,6 +26,7 @@ from rankmix.fileio import (
     write_mixture_spec,
 )
 from rankmix.generators import ComponentSpec, MixtureSpec, SampleBatch, mask
+from rankmix.pipeline import denoise
 from rankmix.rankings import Permutation
 
 
@@ -177,7 +171,7 @@ def test_denoise_rank_and_meta(tmp_path):
     assert float(meta["p_hat"]) == 1.0
     assert float(meta["threshold_used"]) > 0
     svals = [float(tok) for tok in meta["singular_values"].split(",")]
-    assert len(svals) == 20
+    assert len(svals) == 3  # the r + 1 values the t1 rule read for --rank 2
     assert svals == sorted(svals, reverse=True)
 
 
@@ -190,6 +184,10 @@ def test_denoise_rank_and_meta(tmp_path):
     st.integers(0, 2**32 - 1),
     st.one_of(st.none(), st.integers(1, 4)),
 )
+# two equal rows: sigma_3 of the Gram route is noise, returned as 0, so --rank 3 keeps 2
+@example("gaussian", 4, 3, 1.0, 2, 3)
+# rows at 0, +-a and -a/2 twice: the two largest MST gaps are equal up to rounding
+@example("mallows", 3, 5, 0.7, 2, 1)
 def test_denoise_writes_the_factors_of_hsvt(family, n, N, p, seed, rank):
     # OUT and OUT.basis are hsvt's coords and Vt; their product is m_hat and
     # cluster on OUT decides as single_linkage on the dense m_hat does
@@ -213,9 +211,7 @@ def test_denoise_writes_the_factors_of_hsvt(family, n, N, p, seed, rank):
         obs = ObservationMatrix.from_dense(read_matrix(obs_path))
         coords, basis = read_matrix(out), read_matrix(out + ".basis")
         predicted, meta = read_labels(labels), read_key_values(labels + ".meta")
-    top = max(_values_read(N, d, rank), min(cli.TOP_SINGULAR_VALUES, N, d))
-    svd = compute_svd(obs, top=top)
-    estimate = hsvt(obs, select_threshold(svd, target_rank=rank), svd=svd)
+    _, estimate = denoise(obs, rank)
     assert coords.tobytes() == estimate.coords.tobytes()
     assert basis.tobytes() == estimate.Vt.tobytes()
     r = estimate.kept_rank
@@ -365,6 +361,17 @@ def test_missing_file_reports_error(tmp_path, capsys):
                "--out", str(tmp_path / "out.txt")])
     assert rc == 1
     assert "nope.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rank", ["0", "4"])
+def test_failing_denoise_stage_exits_1_and_names_the_stage(tmp_path, capsys, rank):
+    # a PipelineError is reported like any other error: rankmix: error: <stage>: <cause>
+    obs, out = tmp_path / "obs.txt", tmp_path / "mhat.txt"
+    obs.write_text("3 3\n0.5 -0.5 NA\n-0.5 0.5 0.5\n0.5 NA -0.5\n")
+    assert main(["denoise", "--in", str(obs), "--rank", rank, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"rankmix: error: select_t1: target_rank must lie in [1, 3], got {rank}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

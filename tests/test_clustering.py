@@ -198,6 +198,15 @@ def test_select_t2_small_gap_ratio_falls_back():
     assert res.k_hat == 1
 
 
+def test_select_t2_gaps_tied_up_to_rounding_pick_the_first():
+    # weights 0, a/2, a/2, a: the two largest gaps are equal, and a last weight a few
+    # ulps long must not move t2 from the first gap's midpoint to the second's
+    a = 0.964236520
+    for ulps in (0, 1, 4):
+        w = np.array([0.0, a / 2, a / 2, a + ulps * np.spacing(a)])
+        assert clustering._gap_threshold(w) == a / 4
+
+
 def test_select_t2_requires_two_rows():
     with pytest.raises(ValueError):
         single_linkage(np.zeros((1, 3)))

@@ -26,6 +26,19 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_demo_leaves_no_temporary_files(tmp_path):
+    # the demo's CLI files go to a temporary directory that it removes
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(rankmix.__file__).parent.parent), TMPDIR=str(scratch))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "denoise_and_cluster.py")],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert list(scratch.iterdir()) == []
+
+
 def test_readme_python_blocks_run(tmp_path):
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
     assert blocks, "README.md has no python blocks"

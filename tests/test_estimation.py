@@ -436,17 +436,28 @@ def test_select_threshold_gap_heuristic_example():
 
 
 def test_select_threshold_auto_rule_ignores_the_noise_floor():
-    # an exactly rank-3 product: sigma = 28.6, 22.6, 18.0, 3.4e-7, 2.2e-8, 0, ... The two
-    # values at or below sqrt(eps) * sigma_1 are rounding noise and count as 0, so the
-    # gap after sigma_3 is infinite and 0/0 beyond it is none
+    # an exactly rank-3 product: sigma = 28.6, 22.6, 18.0, then rounding noise, which
+    # compute_svd returns as exact 0, so the gap after sigma_3 is infinite and 0/0
+    # beyond it is none
     rng = np.random.default_rng(169)
     y = rng.normal(size=(30, 3)) @ rng.normal(size=(3, 20))
     svd = compute_svd(y)
     s = svd.singular_values
-    assert s[3] <= np.sqrt(np.finfo(float).eps) * s[0] and s[4] > 0 and s[5] == 0
+    assert s[2] > 0 and not s[3:].any()
     t1 = select_threshold(svd)
     assert t1 == (s[2] + s[3]) / 2
     assert hsvt(y, t1, svd=svd).kept_rank == 3
+
+
+def test_no_threshold_keeps_a_noise_component():
+    # the rank-3 product above: neither a target rank of 5 nor an explicit t1 of 0 keeps
+    # more than its 3 components, and the noise side of the svd is zero
+    rng = np.random.default_rng(169)
+    y = rng.normal(size=(30, 3)) @ rng.normal(size=(3, 20))
+    svd = compute_svd(y)
+    assert not svd.U[:, 3:].any()
+    for t1 in (select_threshold(svd, target_rank=5), 0.0):
+        assert hsvt(y, t1, svd=svd).kept_rank == 3
 
 
 def test_select_threshold_target_rank_examples():

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,15 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("frobnicate=1\n")
     with pytest.raises(ValueError):
         ExperimentConfig.from_file(path, "exp2", "out")
+
+
+@pytest.mark.parametrize("value", ["zero", "normal"])
+def test_config_refuses_the_removed_utilities_key(tmp_path, value):
+    # exp3 always uses all-zero utilities; the key that chose otherwise is gone
+    path = tmp_path / "config.txt"
+    path.write_text(f"utilities={value}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unrecognized config key 'utilities'$"):
+        ExperimentConfig.from_file(path, "exp3", "out")
 
 
 def test_config_rejects_bad_grid_values(tmp_path):
