@@ -8,7 +8,8 @@ so the stages can be chained from a shell:
     rankmix cluster --in mhat.txt --auto --out labels.txt
     rankmix evaluate --pred labels.txt --truth obs.txt.labels
 
-denoise runs rankmix.pipeline.denoise and writes the rank-r estimate as its
+denoise reads its input with fileio.read_observations (0 where the file has
+NA), runs rankmix.pipeline.denoise and writes the rank-r estimate as its
 two factors: OUT holds the N x r U_r S_r / p_hat and OUT.basis the r x d matrix V_r^T, whose rows are
 orthonormal. The dense estimate is read_matrix(OUT) @ read_matrix(OUT.basis),
 and since V_r^T has orthonormal rows the rows of OUT lie at the same pairwise
@@ -30,6 +31,7 @@ from .fileio import (
     read_labels,
     read_matrix,
     read_mixture_spec,
+    read_observations,
     write_key_values,
     write_labels,
     write_matrix,
@@ -48,7 +50,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    svd, estimate = denoise(ObservationMatrix.from_dense(read_matrix(args.infile)), args.rank)
+    svd, estimate = denoise(ObservationMatrix(read_observations(args.infile)), args.rank)
     write_matrix(args.out, estimate.coords)
     write_matrix(args.out + ".basis", estimate.Vt)
     write_key_values(

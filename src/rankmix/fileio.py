@@ -7,9 +7,12 @@ Three small formats, all line-oriented ASCII:
   value is refused before the file is opened, since no reader accepts it).
   An N x 0 matrix is its header and N blank lines. write_observations
   writes the same format from an observation matrix held in memory with 0
-  marking a missing value. CLI denoise writes its estimate as two matrix
-  files, the N x r coordinates and the r x d basis, whose product is the
-  dense estimate;
+  marking a missing value, through one table of three tokens (-0.5, NA,
+  0.5); read_observations, which CLI denoise uses, decodes a file that is
+  byte for byte the writer's through the same table in numpy, and reads any
+  other spelling through read_matrix. CLI denoise writes its estimate as
+  two matrix files, the N x r coordinates and the r x d basis, whose
+  product is the dense estimate;
 * labels: one integer per line (integral floats and bools are written as
   integers; any other value is refused before the file is opened);
 * key=value: one pair per line (mixture specs, experiment configs, and the
@@ -54,19 +57,110 @@ def write_matrix(path, values) -> None:
             fh.write(" ".join("NA" if math.isnan(v) else repr(v) for v in row.tolist()) + "\n")
 
 
-_OBSERVATION_TOKENS = np.array(["-0.5", "NA", "0.5"], dtype=object)  # repr(-0.5), missing, repr(0.5)
+# The one token table of observation files: code c = 2 * value + 1 is written
+# as _OBSERVATION_TOKENS[c] (repr(-0.5), missing, repr(0.5)) and read back as
+# _OBSERVATION_VALUES[c]. The three tokens start with three different bytes.
+_OBSERVATION_TOKENS = np.array(["-0.5", "NA", "0.5"], dtype=object)
+_OBSERVATION_VALUES = np.array([-0.5, 0.0, 0.5])
+
+# The reader's view of that table. A token's first byte gives its code (255
+# where no token starts with the byte). Code c is token c and the space that
+# follows it inside a row, code c + 3 token c and the newline that ends a row;
+# _TOKEN_BYTES holds their bytes padded to one width and _TOKEN_MASK marks the
+# written ones. Rows are decoded _DECODE_BLOCK entries at a time, which keeps
+# the temporaries a small fraction of the matrix.
+_CODE_OF_FIRST_BYTE = np.full(256, 255, dtype=np.uint8)
+_CODE_OF_FIRST_BYTE[[ord(token[0]) for token in _OBSERVATION_TOKENS]] = range(len(_OBSERVATION_TOKENS))
+_WRITTEN_TOKENS = [token.encode() + sep for sep in (b" ", b"\n") for token in _OBSERVATION_TOKENS]
+_TOKEN_WIDTH = max(map(len, _WRITTEN_TOKENS))
+_TOKEN_BYTES = np.array([list(t.ljust(_TOKEN_WIDTH, b"\0")) for t in _WRITTEN_TOKENS], dtype=np.uint8)
+_TOKEN_MASK = np.arange(_TOKEN_WIDTH) < np.array([[len(t)] for t in _WRITTEN_TOKENS])
+_DECODE_BLOCK = 1 << 14
 
 
 def write_observations(path, values) -> None:
     """Write an observation matrix held as +-1/2 with 0 marking a missing
     entry, in the matrix format: the bytes write_matrix writes for the copy
-    with NA (NaN) in place of 0, through a three-token table."""
+    with NA (NaN) in place of 0, through the token table that
+    read_observations decodes."""
     values = _observations(values)
-    tokens = _OBSERVATION_TOKENS[(values * 2.0 + 1.0).astype(np.intp)]  # -1/2, 0, +1/2 -> 0, 1, 2
+    tokens = _OBSERVATION_TOKENS[(values * 2.0 + 1.0).astype(np.intp)]
     with open(path, "w") as fh:
         fh.write(f"{values.shape[0]} {values.shape[1]}\n")
         for row in tokens.tolist():
             fh.write(" ".join(row) + "\n")
+
+
+def _decode_observations(data: bytes) -> np.ndarray | None:
+    """The matrix whose write_observations bytes are data, or None unless
+    data is exactly such bytes for an N x d matrix with N * d > 0."""
+    header, newline, _ = data.partition(b"\n")
+    sizes = header.split(b" ")
+    if not newline or len(sizes) != 2 or not all(size.isdigit() for size in sizes):
+        return None
+    N, d = int(sizes[0]), int(sizes[1])
+    if header != b"%d %d" % (N, d) or N * d == 0:
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=len(header) + 1)
+    row_ends = np.flatnonzero(body == ord("\n")) + 1
+    if row_ends.size != N or row_ends[-1] != body.size:
+        return None
+    values = np.empty((N, d))
+    step = max(1, _DECODE_BLOCK // d)
+    for first in range(0, N, step):
+        last = min(first + step, N)
+        start = row_ends[first - 1] if first else 0
+        codes = _decode_rows(body[start:row_ends[last - 1]], last - first, d)
+        if codes is None:
+            return None
+        _OBSERVATION_VALUES.take(codes, out=values[first:last])
+    return values
+
+
+def _decode_rows(body: np.ndarray, N: int, d: int) -> np.ndarray | None:
+    """The N x d codes of the tokens whose write_observations bytes are body,
+    or None unless body is exactly such bytes.
+
+    Each token is classified by its first byte; the codes are then written
+    back through the token table and must reproduce body byte for byte, which
+    checks the token count, every separator and every byte of every token."""
+    # a token starts the body or follows a byte at most b" " (which includes
+    # both separators); the exact comparison below refuses any other such byte
+    starts = np.empty(body.shape, dtype=bool)
+    starts[:1] = True
+    np.less_equal(body[:-1], ord(" "), out=starts[1:])
+    codes = _CODE_OF_FIRST_BYTE.take(np.compress(starts, body))
+    del starts
+    if codes.size != N * d or codes.max() >= len(_OBSERVATION_TOKENS):
+        return None
+    codes = codes.reshape(N, d)
+    codes[:, -1] += len(_OBSERVATION_TOKENS)
+    written = np.compress(_TOKEN_MASK.take(codes, axis=0).ravel(), _TOKEN_BYTES.take(codes, axis=0))
+    if not np.array_equal(written, body):
+        return None
+    codes[:, -1] -= len(_OBSERVATION_TOKENS)
+    return codes
+
+
+def read_observations(path) -> np.ndarray:
+    """Read an observation matrix file: the float N x d matrix with 0 where
+    the file has NA. A file that is byte for byte what write_observations
+    writes is decoded through its token table; any other file is read by
+    read_matrix, with its errors, and an entry other than -0.5, 0.5 or NA is
+    reported with the path and the row."""
+    with open(path, "rb") as fh:
+        values = _decode_observations(fh.read())
+    if values is not None:
+        return values
+    values = read_matrix(path)
+    observed = np.isin(values, (-0.5, 0.5))
+    invalid = ~observed & ~np.isnan(values)
+    if invalid.any():
+        i, j = np.unravel_index(invalid.argmax(), invalid.shape)
+        problem = ("a missing entry is written NA, not 0" if values[i, j] == 0.0
+                   else "every entry must be exactly +1/2 or -1/2, or NA where missing")
+        raise ValueError(f"{path}: row {i}: {problem}")
+    return np.where(observed, values, 0.0)
 
 
 def read_matrix(path) -> np.ndarray:

@@ -22,6 +22,7 @@ from rankmix.fileio import (
     read_key_values,
     read_labels,
     read_matrix,
+    read_observations,
     write_labels,
     write_mixture_spec,
 )
@@ -128,7 +129,8 @@ def test_generate_deterministic(tmp_path):
     st.sampled_from([np.nan, np.inf, -np.inf]),
 )
 def test_file_boundary_keeps_the_zero_marker(N, n, p, seed, bad):
-    # in memory 0 marks a missing entry; generate writes it as NA, from_dense reads it back as 0
+    # in memory 0 marks a missing entry; generate writes it as NA, and both
+    # read_observations and from_dense read it back as 0
     rng = np.random.default_rng(seed)
     values = np.where(rng.random((N, n * (n - 1) // 2)) < 0.5, 0.5, -0.5)
     batch = mask(SampleBatch(values, rng.integers(0, 3, N)), p, seed)
@@ -140,9 +142,11 @@ def test_file_boundary_keeps_the_zero_marker(N, n, p, seed, bad):
         assert main(["generate", "--spec", "spec.txt", "--num", str(N), "--p", str(p),
                      "--seed", str(seed), "--out", out]) == 0
         from_file = ObservationMatrix.from_dense(read_matrix(out))
+        decoded = read_observations(out)
     from_memory = ObservationMatrix.from_samples(batch)
     assert np.shares_memory(from_memory.values, batch.values)
     assert from_file.values.tobytes() == from_memory.values.tobytes()
+    assert decoded.tobytes() == from_memory.values.tobytes()
     assert estimate_p_hat(from_file) == estimate_p_hat(from_memory)
     broken = batch.values.copy()
     broken[rng.integers(N), rng.integers(broken.shape[1])] = bad
@@ -361,6 +365,22 @@ def test_missing_file_reports_error(tmp_path, capsys):
                "--out", str(tmp_path / "out.txt")])
     assert rc == 1
     assert "nope.txt" in capsys.readouterr().err
+
+
+def test_denoise_names_the_file_and_row_of_an_entry_off_the_tokens(tmp_path, capsys):
+    obs = tmp_path / "obs.txt"
+    obs.write_text("3 3\n0.5 -0.5 NA\n-0.5 0.3 0.5\n0.5 NA -0.5\n")
+    assert main(["denoise", "--in", str(obs), "--auto", "--out", str(tmp_path / "mhat.txt")]) == 1
+    assert capsys.readouterr().err == (
+        f"rankmix: error: {obs}: row 1: every entry must be exactly +1/2 or -1/2, or NA where missing\n"
+    )
+
+
+def test_denoise_names_the_file_and_row_of_a_literal_zero(tmp_path, capsys):
+    obs = tmp_path / "obs.txt"
+    obs.write_text("3 3\n0.5 -0.5 NA\n-0.5 0.5 0.5\n0.5 0 -0.5\n")
+    assert main(["denoise", "--in", str(obs), "--auto", "--out", str(tmp_path / "mhat.txt")]) == 1
+    assert capsys.readouterr().err == f"rankmix: error: {obs}: row 2: a missing entry is written NA, not 0\n"
 
 
 @pytest.mark.parametrize("rank", ["0", "4"])

@@ -4,14 +4,23 @@ Formats under test: matrix (`N d` header, NA for missing entries), labels
 (one integer per line), mixture spec and meta files (key=value text).
 """
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rankmix import fileio
+from rankmix.estimation import ObservationMatrix
 from rankmix.fileio import (
     read_key_values,
     read_labels,
     read_matrix,
     read_mixture_spec,
+    read_observations,
     write_key_values,
     write_labels,
     write_matrix,
@@ -51,6 +60,176 @@ def test_observations_writer_refuses_values_off_the_three_tokens(tmp_path, bad):
     with pytest.raises(ValueError, match="exactly"):
         write_observations(tmp_path / "obs.txt", [[0.5, bad], [0.0, -0.5]])
     assert not (tmp_path / "obs.txt").exists()
+
+
+def _observations_of(shape, missing, seed):
+    rng = np.random.default_rng(seed)
+    values = np.where(rng.random(shape) < 0.5, -0.5, 0.5)
+    values[rng.random(shape) < missing] = 0.0
+    return values
+
+
+# the last two span several decode blocks, of many rows and of one row each
+@pytest.mark.parametrize("shape", [(1, 1), (6, 10), (40, 3), (3, 0), (0, 4), (0, 0), (2000, 10), (2, 20000)])
+@pytest.mark.parametrize("missing", [0.0, 0.4, 1.0])
+def test_observations_reader_mirrors_the_writer(tmp_path, monkeypatch, shape, missing):
+    values = _observations_of(shape, missing, shape[0])
+    write_observations(tmp_path / "obs.txt", values)
+    if 0 not in shape:  # the writer's bytes are decoded without read_matrix
+        monkeypatch.setattr(fileio, "read_matrix", None)
+    back = read_observations(tmp_path / "obs.txt")
+    assert back.shape == shape and back.dtype == float
+    assert back.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [("0.3", "every entry must be exactly +1/2 or -1/2, or NA where missing"),
+     ("1_0", "every entry must be exactly +1/2 or -1/2, or NA where missing"),
+     ("0", "a missing entry is written NA, not 0"),
+     ("-0", "a missing entry is written NA, not 0")],
+)
+def test_observations_reader_names_the_file_and_row_of_a_bad_entry(tmp_path, token, message):
+    path = tmp_path / "obs.txt"
+    path.write_text(f"3 2\n0.5 NA\nNA 0.5\n-0.5 {token}\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: row 2: {message}") + "$"):
+        read_observations(path)
+
+
+# Each perturbation maps the header, the rows (lists of tokens) and a drawn
+# position k to the file's new bytes, or to None where it does not apply.
+def _join(header, rows, newline=b"\n"):
+    return newline.join([header, *(b" ".join(row) for row in rows)]) + newline
+
+
+def _in_body(old, new):
+    def perturb(header, rows, k):
+        return header + b"\n" + _join(header, rows)[len(header) + 1:].replace(old, new)
+    return perturb
+
+
+def _token_at(rows, k):
+    cells = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+    return cells[k % len(cells)] if cells else None
+
+
+def _replace_token(new):
+    def perturb(header, rows, k):
+        if (cell := _token_at(rows, k)) is None:
+            return None
+        rows[cell[0]][cell[1]] = new
+        return _join(header, rows)
+    return perturb
+
+
+def _drop_token(header, rows, k):
+    if (cell := _token_at(rows, k)) is None:
+        return None
+    del rows[cell[0]][cell[1]]
+    return _join(header, rows)
+
+
+def _add_token(header, rows, k):
+    if not rows:
+        return None
+    rows[k % len(rows)].append(b"0.5")
+    return _join(header, rows)
+
+
+def _move_token_down(header, rows, k):
+    # the last token of a row becomes the first of the next: the token count holds
+    if len(rows) < 2 or not rows[0]:
+        return None
+    i = k % (len(rows) - 1)
+    rows[i + 1].insert(0, rows[i].pop())
+    return _join(header, rows)
+
+
+def _drop_row(header, rows, k):
+    if not rows:
+        return None
+    del rows[k % len(rows)]
+    return _join(header, rows)
+
+
+_PERTURBATIONS = {
+    "canonical": lambda header, rows, k: _join(header, rows),
+    "crlf": lambda header, rows, k: _join(header, rows, b"\r\n"),
+    "trailing space": _in_body(b"\n", b" \n"),
+    "tab": _in_body(b" ", b"\t"),
+    "double space": _in_body(b" ", b"  "),
+    "0.50": _replace_token(b"0.50"),
+    "+0.5": _replace_token(b"+0.5"),
+    "-0": _replace_token(b"-0"),
+    "na": _replace_token(b"na"),
+    "0.3": _replace_token(b"0.3"),
+    "-0.7": _replace_token(b"-0.7"),
+    "NB": _replace_token(b"NB"),
+    "stray letter": _replace_token(b"0.5x"),
+    "no final newline": lambda header, rows, k: _join(header, rows)[:-1],
+    "extra blank line": lambda header, rows, k: _join(header, rows) + b"\n",
+    "leading blank line": lambda header, rows, k: b"\n" + _join(header, rows),
+    "header with two spaces": lambda header, rows, k: _join(header.replace(b" ", b"  "), rows),
+    "header with a leading zero": lambda header, rows, k: _join(b"0" + header, rows),
+    "dropped token": _drop_token,
+    "extra token": _add_token,
+    "token moved to the next row": _move_token_down,
+    "missing row": _drop_row,
+}
+
+
+def _accepted(dense) -> bool:
+    try:
+        ObservationMatrix.from_dense(dense)
+    except ValueError:
+        return False
+    return True
+
+
+def _reference_outcome(path):
+    """What read_observations must do with the file at path: give the bytes
+    of ObservationMatrix.from_dense(read_matrix(path)).values, raise
+    read_matrix's error with its text, or, where from_dense refuses an
+    entry, raise an error that names the path and the first such row."""
+    try:
+        dense = read_matrix(path)
+    except ValueError as err:
+        return "error", str(err)
+    try:
+        values = ObservationMatrix.from_dense(dense).values
+    except ValueError:
+        row = next(i for i in range(len(dense)) if not _accepted(dense[i:i + 1]))
+        return "error starting", f"{path}: row {row}: "
+    return "values", (values.shape, values.dtype, values.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.integers(0, 7),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(_PERTURBATIONS)),
+    st.integers(0, 10**6),
+)
+def test_observations_reader_matches_read_matrix_and_from_dense(N, d, missing, seed, kind, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obs.txt"
+        write_observations(path, _observations_of((N, d), missing, seed))
+        header, *lines = path.read_bytes().split(b"\n")[:-1]
+        text = _PERTURBATIONS[kind](header, [line.split(b" ") if d else [] for line in lines], k)
+        if text is None:
+            return
+        path.write_bytes(text)
+        want, expected = _reference_outcome(path)
+        try:
+            values = read_observations(path)
+        except ValueError as err:
+            assert want != "values", (kind, text, err)
+            same = str(err) == expected if want == "error" else str(err).startswith(expected)
+            assert same, (kind, text, err)
+        else:
+            assert want == "values" and (values.shape, values.dtype, values.tobytes()) == expected, (kind, text)
 
 
 def test_matrix_roundtrip_general_floats(tmp_path):
