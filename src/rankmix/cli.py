@@ -15,13 +15,18 @@ orthonormal. The dense estimate is read_matrix(OUT) @ read_matrix(OUT.basis),
 and since V_r^T has orthonormal rows the rows of OUT lie at the same pairwise
 distances as those of the dense estimate, so cluster reads OUT as it is.
 OUT.meta lists the singular values the t1 rule read: ceil(sqrt(min(N, d))) + 1
-with --auto, r + 1 with --rank r.
+with --auto, r + 1 with --rank r. denoise runs on one BLAS thread (see
+_one_blas_thread), so its files do not depend on OPENBLAS_NUM_THREADS.
 """
 
 import argparse
+import ctypes
 import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .clustering import single_linkage
 from .estimation import ObservationMatrix
@@ -41,6 +46,46 @@ from .generators import mask, sample_mixture
 from .pipeline import PipelineError, denoise
 
 
+def _openblas_thread_setter():
+    """openblas_set_num_threads_local of the OpenBLAS that a scipy wheel
+    bundles for scipy.linalg (it sets the thread count and returns the old
+    one), or None where scipy links another BLAS."""
+    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas*.so")):
+        try:
+            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+_SET_BLAS_THREADS = _openblas_thread_setter()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run scipy's BLAS and LAPACK calls on one thread, then restore the count.
+
+    A CLI denoise of a 600 x 780 observation file spends most of its time in
+    compute_svd. A second OpenBLAS thread saves about a tenth of that on an
+    idle machine, but its worker spins after every call and each parallel
+    call waits for it: on 2 cores with one other busy thread, the denoise
+    took 140 ms on two BLAS threads and 50 ms on one, and two CLI chains run
+    side by side slowed to seconds per op. On one thread the output also
+    does not depend on the thread count. Library callers keep the count
+    they set; this is the command line's choice. On OpenBLAS built with
+    pthreads the count is the library's, not the calling thread's."""
+    if _SET_BLAS_THREADS is None:
+        yield
+        return
+    previous = _SET_BLAS_THREADS(1)
+    try:
+        yield
+    finally:
+        _SET_BLAS_THREADS(previous)
+
+
 def _cmd_generate(args) -> int:
     spec = read_mixture_spec(args.spec)
     batch = mask(sample_mixture(spec, args.num, args.seed), args.p, args.seed)
@@ -50,7 +95,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    svd, estimate = denoise(ObservationMatrix(read_observations(args.infile)), args.rank)
+    obs = ObservationMatrix(read_observations(args.infile))
+    with _one_blas_thread():
+        svd, estimate = denoise(obs, args.rank)
     write_matrix(args.out, estimate.coords)
     write_matrix(args.out + ".basis", estimate.Vt)
     write_key_values(

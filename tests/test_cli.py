@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rankmix
-from rankmix import cli
+from rankmix import cli, estimation
 from rankmix.cli import main
 from rankmix.clustering import single_linkage
 from rankmix.estimation import ObservationMatrix, estimate_p_hat
@@ -392,6 +392,68 @@ def test_failing_denoise_stage_exits_1_and_names_the_stage(tmp_path, capsys, ran
     err = capsys.readouterr().err
     assert err.startswith(f"rankmix: error: select_t1: target_rank must lie in [1, 3], got {rank}")
     assert not out.exists()
+
+
+def _blas_threads():
+    """scipy's OpenBLAS thread count, read by setting it and setting it back."""
+    count = cli._SET_BLAS_THREADS(1)
+    cli._SET_BLAS_THREADS(count)
+    return count
+
+
+_needs_thread_setter = pytest.mark.skipif(
+    cli._SET_BLAS_THREADS is None, reason="scipy does not bundle OpenBLAS here"
+)
+
+
+@_needs_thread_setter
+def test_denoise_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    obs, out = tmp_path / "obs.txt", tmp_path / "mhat.txt"
+    obs.write_text("3 3\n0.5 -0.5 NA\n-0.5 0.5 0.5\n0.5 NA -0.5\n")
+    before = _blas_threads()
+    seen, real_eigh = [], estimation.eigh
+
+    def spy(*args, **kwargs):
+        seen.append(_blas_threads())
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "eigh", spy)
+    assert main(["denoise", "--in", str(obs), "--auto", "--out", str(out)]) == 0
+    assert main(["denoise", "--in", str(obs), "--rank", "0", "--out", str(out)]) == 1  # fails after the svd
+    assert seen == [1, 1] and _blas_threads() == before
+
+
+_DENOISE_IN_A_PROCESS = """
+import numpy as np
+from rankmix.cli import main
+from rankmix.fileio import write_mixture_spec
+from rankmix.generators import ComponentSpec, MixtureSpec
+from rankmix.rankings import Permutation
+rng = np.random.default_rng(0)
+spec = MixtureSpec([ComponentSpec.mallows(Permutation(rng.permutation(40)), 0.8) for _ in range(3)], [1 / 3] * 3)
+write_mixture_spec("mix.txt", spec)
+assert main(["generate", "--spec", "mix.txt", "--num", "600", "--p", "0.5", "--seed", "3", "--out", "obs.txt"]) == 0
+assert main(["denoise", "--in", "obs.txt", "--auto", "--out", "mhat.txt"]) == 0
+"""
+
+
+@_needs_thread_setter
+def test_denoise_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # on OPENBLAS_NUM_THREADS=2 the threaded eigensolve of this 600 x 780
+    # matrix moves the last bits; on one thread the files are the same
+    files = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            PYTHONPATH=str(Path(rankmix.__file__).parent.parent),
+        )
+        out = tmp_path / threads
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", _DENOISE_IN_A_PROCESS], cwd=out, env=env, check=True, timeout=300)
+        files.append([(out / name).read_bytes() for name in ("mhat.txt", "mhat.txt.basis", "mhat.txt.meta")])
+    assert files[0] == files[1]
 
 
 @pytest.mark.parametrize(
