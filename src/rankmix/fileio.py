@@ -8,11 +8,11 @@ Three small formats, all line-oriented ASCII:
   An N x 0 matrix is its header and N blank lines. write_observations
   writes the same format from an observation matrix held in memory with 0
   marking a missing value, through one table of three tokens (-0.5, NA,
-  0.5); read_observations, which CLI denoise uses, decodes a file that is
-  byte for byte the writer's through the same table in numpy, and reads any
-  other spelling through read_matrix. CLI denoise writes its estimate as
-  two matrix files, the N x r coordinates and the r x d basis, whose
-  product is the dense estimate;
+  0.5) and one row encoder; read_observations, which CLI denoise uses,
+  decodes through the same table in numpy, keeps the result only if the
+  encoder gives back the file's bytes, and reads any other file through
+  read_matrix. CLI denoise writes its estimate as two matrix files, the
+  N x r coordinates and the r x d basis, whose product is the dense estimate;
 * labels: one integer per line (integral floats and bools are written as
   integers; any other value is refused before the file is opened);
 * key=value: one pair per line (mixture specs, experiment configs, and the
@@ -57,51 +57,61 @@ def write_matrix(path, values) -> None:
             fh.write(" ".join("NA" if math.isnan(v) else repr(v) for v in row.tolist()) + "\n")
 
 
-# The one token table of observation files: code c = 2 * value + 1 is written
-# as _OBSERVATION_TOKENS[c] (repr(-0.5), missing, repr(0.5)) and read back as
-# _OBSERVATION_VALUES[c]. The three tokens start with three different bytes.
-_OBSERVATION_TOKENS = np.array(["-0.5", "NA", "0.5"], dtype=object)
+# The one token table of observation files. Code c = 2 * value + 1 is read as
+# _OBSERVATION_VALUES[c] and written as _WRITTEN_TOKENS[c], token c of
+# (repr(-0.5), missing, repr(0.5)) and a space, or as code c + 3, the token and
+# a newline, at the end of a row. _TOKEN_BYTES pads them to one width and
+# _TOKEN_MASK marks their bytes. Tokens differ in their first byte, which gives
+# the code (255: no token). Rows go _DECODE_BLOCK entries at a time.
 _OBSERVATION_VALUES = np.array([-0.5, 0.0, 0.5])
-
-# The reader's view of that table. A token's first byte gives its code (255
-# where no token starts with the byte). Code c is token c and the space that
-# follows it inside a row, code c + 3 token c and the newline that ends a row;
-# _TOKEN_BYTES holds their bytes padded to one width and _TOKEN_MASK marks the
-# written ones. Rows are decoded _DECODE_BLOCK entries at a time, which keeps
-# the temporaries a small fraction of the matrix.
-_CODE_OF_FIRST_BYTE = np.full(256, 255, dtype=np.uint8)
-_CODE_OF_FIRST_BYTE[[ord(token[0]) for token in _OBSERVATION_TOKENS]] = range(len(_OBSERVATION_TOKENS))
-_WRITTEN_TOKENS = [token.encode() + sep for sep in (b" ", b"\n") for token in _OBSERVATION_TOKENS]
+_WRITTEN_TOKENS = [token + sep for sep in (b" ", b"\n") for token in (b"-0.5", b"NA", b"0.5")]
 _TOKEN_WIDTH = max(map(len, _WRITTEN_TOKENS))
 _TOKEN_BYTES = np.array([list(t.ljust(_TOKEN_WIDTH, b"\0")) for t in _WRITTEN_TOKENS], dtype=np.uint8)
 _TOKEN_MASK = np.arange(_TOKEN_WIDTH) < np.array([[len(t)] for t in _WRITTEN_TOKENS])
+_CODE_OF_FIRST_BYTE = np.full(256, 255, dtype=np.uint8)
+_CODE_OF_FIRST_BYTE[[t[0] for t in _WRITTEN_TOKENS[:3]]] = range(3)
 _DECODE_BLOCK = 1 << 14
+
+
+def _encode_rows(codes: np.ndarray) -> np.ndarray:
+    """The uint8 bytes of the rows of an N x d array of codes, d > 0: the
+    body that write_observations writes and _decode_rows checks."""
+    row_end = np.zeros(codes.shape[1], dtype=np.intp)
+    row_end[-1] = len(_OBSERVATION_VALUES)
+    tokens = codes + row_end
+    return np.compress(_TOKEN_MASK.take(tokens, axis=0).ravel(), _TOKEN_BYTES.take(tokens, axis=0))
 
 
 def write_observations(path, values) -> None:
     """Write an observation matrix held as +-1/2 with 0 marking a missing
     entry, in the matrix format: the bytes write_matrix writes for the copy
-    with NA (NaN) in place of 0, through the token table that
-    read_observations decodes."""
+    with NA (NaN) in place of 0. The rows go through the one token table and
+    the one encoder, _encode_rows, that read_observations checks with."""
     values = _observations(values)
-    tokens = _OBSERVATION_TOKENS[(values * 2.0 + 1.0).astype(np.intp)]
-    with open(path, "w") as fh:
-        fh.write(f"{values.shape[0]} {values.shape[1]}\n")
-        for row in tokens.tolist():
-            fh.write(" ".join(row) + "\n")
+    N, d = values.shape
+    with open(path, "wb") as fh:
+        fh.write(b"%d %d\n" % (N, d))
+        if d == 0:
+            fh.write(b"\n" * N)
+            return
+        step = max(1, _DECODE_BLOCK // d)
+        for first in range(0, N, step):
+            codes = (values[first:first + step] * 2.0 + 1.0).astype(np.intp)
+            fh.write(_encode_rows(codes))
 
 
 def _decode_observations(data: bytes) -> np.ndarray | None:
     """The matrix whose write_observations bytes are data, or None unless
     data is exactly such bytes for an N x d matrix with N * d > 0."""
-    header, newline, _ = data.partition(b"\n")
+    end = data.find(b"\n")
+    header = data[:end]
     sizes = header.split(b" ")
-    if not newline or len(sizes) != 2 or not all(size.isdigit() for size in sizes):
+    if end < 0 or len(sizes) != 2 or not all(size.isdigit() for size in sizes):
         return None
     N, d = int(sizes[0]), int(sizes[1])
     if header != b"%d %d" % (N, d) or N * d == 0:
         return None
-    body = np.frombuffer(data, dtype=np.uint8, offset=len(header) + 1)
+    body = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
     row_ends = np.flatnonzero(body == ord("\n")) + 1
     if row_ends.size != N or row_ends[-1] != body.size:
         return None
@@ -121,9 +131,9 @@ def _decode_rows(body: np.ndarray, N: int, d: int) -> np.ndarray | None:
     """The N x d codes of the tokens whose write_observations bytes are body,
     or None unless body is exactly such bytes.
 
-    Each token is classified by its first byte; the codes are then written
-    back through the token table and must reproduce body byte for byte, which
-    checks the token count, every separator and every byte of every token."""
+    Each token is classified by its first byte; _encode_rows of the codes
+    must then reproduce body byte for byte, which checks the token count,
+    every separator and every byte of every token."""
     # a token starts the body or follows a byte at most b" " (which includes
     # both separators); the exact comparison below refuses any other such byte
     starts = np.empty(body.shape, dtype=bool)
@@ -131,15 +141,10 @@ def _decode_rows(body: np.ndarray, N: int, d: int) -> np.ndarray | None:
     np.less_equal(body[:-1], ord(" "), out=starts[1:])
     codes = _CODE_OF_FIRST_BYTE.take(np.compress(starts, body))
     del starts
-    if codes.size != N * d or codes.max() >= len(_OBSERVATION_TOKENS):
+    if codes.size != N * d or codes.max() >= len(_OBSERVATION_VALUES):
         return None
     codes = codes.reshape(N, d)
-    codes[:, -1] += len(_OBSERVATION_TOKENS)
-    written = np.compress(_TOKEN_MASK.take(codes, axis=0).ravel(), _TOKEN_BYTES.take(codes, axis=0))
-    if not np.array_equal(written, body):
-        return None
-    codes[:, -1] -= len(_OBSERVATION_TOKENS)
-    return codes
+    return codes if np.array_equal(_encode_rows(codes), body) else None
 
 
 def read_observations(path) -> np.ndarray:

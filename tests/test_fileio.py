@@ -44,12 +44,22 @@ def test_matrix_roundtrip_with_missing(tmp_path):
     assert np.array_equal(back[~np.isnan(arr)], arr[~np.isnan(arr)])
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (6, 10), (40, 3)])
+_TRANSPOSED = (41, 25)  # given to the writer as an F-ordered transpose
+
+
+# beyond the first three: the shapes with no entries skip the encoder, and the
+# next two span several write blocks, of many rows and of one row each
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (6, 10), (40, 3), (3, 0), (0, 4), (0, 0), (2000, 10), (2, 20000), _TRANSPOSED]
+)
 @pytest.mark.parametrize("missing", [0.0, 0.4, 1.0])
 def test_observations_writer_matches_write_matrix_of_the_na_copy(tmp_path, shape, missing):
     rng = np.random.default_rng(shape[0])
     values = np.where(rng.random(shape) < 0.5, -0.5, 0.5)
     values[rng.random(shape) < missing] = 0.0
+    if shape == _TRANSPOSED:
+        values = np.ascontiguousarray(values.T).T
+        assert values.flags.f_contiguous and not values.flags.c_contiguous
     write_observations(tmp_path / "obs.txt", values)
     write_matrix(tmp_path / "want.txt", np.where(values == 0.0, np.nan, values))
     assert (tmp_path / "obs.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
