@@ -8,15 +8,15 @@ so the stages can be chained from a shell:
     rankmix cluster --in mhat.txt --auto --out labels.txt
     rankmix evaluate --pred labels.txt --truth obs.txt.labels
 
-denoise reads its input with fileio.read_observations (0 where the file has
-NA), runs rankmix.pipeline.denoise and writes the rank-r estimate as its
-two factors: OUT holds the N x r U_r S_r / p_hat and OUT.basis the r x d matrix V_r^T, whose rows are
-orthonormal. The dense estimate is read_matrix(OUT) @ read_matrix(OUT.basis),
-and since V_r^T has orthonormal rows the rows of OUT lie at the same pairwise
-distances as those of the dense estimate, so cluster reads OUT as it is.
-OUT.meta lists the singular values the t1 rule read: ceil(sqrt(min(N, d))) + 1
-with --auto, r + 1 with --rank r. denoise runs on one BLAS thread (see
-_one_blas_thread), so its files do not depend on OPENBLAS_NUM_THREADS.
+denoise passes the ObservationMatrix that fileio.read_observations checked
+(0 where the file has NA) to rankmix.pipeline.denoise and writes the rank-r
+estimate as two factors: OUT holds the N x r U_r S_r / p_hat, OUT.basis the
+r x d V_r^T, and the dense estimate is read_matrix(OUT) @ read_matrix(OUT.basis).
+V_r^T has orthonormal rows, so the rows of OUT lie at the pairwise distances
+of the dense estimate's rows, and cluster reads OUT as it is. OUT.meta lists
+the singular values the t1 rule read: ceil(sqrt(min(N, d))) + 1 with --auto,
+r + 1 with --rank r. denoise runs on one BLAS thread (see _one_blas_thread),
+so its files do not depend on OPENBLAS_NUM_THREADS.
 """
 
 import argparse
@@ -29,7 +29,6 @@ import numpy as np
 import scipy
 
 from .clustering import single_linkage
-from .estimation import ObservationMatrix
 from .evaluation import empirical_tau, misclassification_rate
 from .experiments import EXPERIMENTS, ExperimentConfig, default_config, run_experiment
 from .fileio import (
@@ -95,7 +94,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    obs = ObservationMatrix(read_observations(args.infile))
+    obs = read_observations(args.infile)
     with _one_blas_thread():
         svd, estimate = denoise(obs, args.rank)
     write_matrix(args.out, estimate.coords)

@@ -14,7 +14,8 @@ matrix of Y, at a fraction of the cost of LAPACK's bidiagonal SVD, and only
 for the leading singular triples the threshold rule reads: compute_svd's
 top, which pipeline.denoise (run by the pipeline and by CLI denoise) sets to
 _values_read (ceil(sqrt(min(N, d))) + 1 without a rank hint, r + 1 with
-one) and which defaults to all min(N, d).
+one) and which defaults to all min(N, d). _values_read is also the one check
+of a rank hint, so a refused hint fails before the eigensolve.
 Every BLAS call, from the Gram product to the back-products and m_hat, runs
 on scipy's BLAS: numpy and scipy may each link their own OpenBLAS, each
 with its own thread pool, and work handed from one pool to the other pays
@@ -186,6 +187,14 @@ def _check_float32_gram(N: int, d: int) -> None:
         )
 
 
+def _count_in_range(value, m: int, name: str) -> int:
+    """value as an int in [1, m]; 2.7, NaN, inf, 0 and m + 1 raise ValueError."""
+    count = int(_integer_values(value, name))
+    if not 1 <= count <= m:
+        raise ValueError(f"{name} must lie in [1, {m}], got {value}")
+    return count
+
+
 def compute_svd(y, top: int | None = None) -> SvdResult:
     """Leading `top` singular triples of an observation matrix (or finite
     plain array) from one symmetric eigensolve of its smaller Gram matrix.
@@ -211,9 +220,7 @@ def compute_svd(y, top: int | None = None) -> SvdResult:
     values = _as_matrix(y)
     wide = values.shape[0] < values.shape[1]
     m = min(values.shape)
-    top = m if top is None else int(_integer_values(top, "top"))
-    if not 1 <= top <= m:
-        raise ValueError(f"top must lie in [1, {m}], got {top}")
+    top = m if top is None else _count_in_range(top, m, "top")
     # values.T is an F-ordered view of a C-ordered matrix, so it reaches BLAS uncopied;
     # syrk fills the upper triangle of a^T a, which is all that eigh reads
     if isinstance(y, ObservationMatrix):
@@ -234,20 +241,17 @@ def compute_svd(y, top: int | None = None) -> SvdResult:
     return SvdResult(s, v, w.T) if wide else SvdResult(s, w, v.T)
 
 
-def hsvt(y, threshold: float, svd: SvdResult | None = None, p_hat: float | None = None) -> HsvtEstimate:
+def hsvt(y, threshold: float, svd: SvdResult | None = None) -> HsvtEstimate:
     """Hard singular value thresholding at t1, rescaled by 1/p_hat.
 
     Keeps the components with sigma_j strictly above the threshold and
-    returns them as factors (see HsvtEstimate). A plain array input is
-    treated as fully observed (p_hat = 1 unless given). Raises ValueError
-    unless 0 < p_hat <= 1 and a given svd is of a matrix shaped like y.
+    returns them as factors (see HsvtEstimate). p_hat is estimate_p_hat of
+    an ObservationMatrix; a plain array is fully observed, so p_hat = 1.
+    Raises ValueError unless a given svd is of a matrix shaped like y.
     """
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    if p_hat is None:
-        p_hat = estimate_p_hat(y) if isinstance(y, ObservationMatrix) else 1.0
-    if not 0.0 < p_hat <= 1.0:
-        raise ValueError(f"p_hat must lie in (0, 1], got {p_hat}")
+    p_hat = estimate_p_hat(y) if isinstance(y, ObservationMatrix) else 1.0
     if svd is None:
         svd = compute_svd(y)  # y itself: an ObservationMatrix takes the float32 Gram route
     elif (svd.N, svd.d) != (shape := _as_matrix(y).shape):
@@ -260,28 +264,19 @@ def hsvt(y, threshold: float, svd: SvdResult | None = None, p_hat: float | None 
         )
     kept = s > threshold
     kept_rank = int(np.count_nonzero(kept))
-    return HsvtEstimate(svd.U[:, kept] * s[kept], svd.Vt[kept], kept_rank, float(threshold), float(p_hat))
-
-
-def _target_rank(target_rank, m: int) -> int:
-    """target_rank as an int in [1, m]; 2.7, NaN, inf, 0 and m + 1 raise."""
-    r = int(_integer_values(target_rank, "target_rank"))
-    if not (1 <= r <= m):
-        raise ValueError(f"target_rank must lie in [1, {m}], got {target_rank}")
-    return r
+    return HsvtEstimate(svd.U[:, kept] * s[kept], svd.Vt[kept], kept_rank, float(threshold), p_hat)
 
 
 def _values_read(N: int, d: int, target_rank=None) -> int:
     """How many leading singular values select_threshold reads for an N x d
     matrix: r + 1 (at most min(N, d)) for a target rank r, and
-    min(m - 1, ceil(sqrt(m))) + 1 with m = min(N, d) without one."""
+    min(m - 1, ceil(sqrt(m))) + 1 with m = min(N, d) without one. A target
+    rank that is not an integer in [1, m] raises ValueError, so asking
+    before the svd refuses it before any eigensolve."""
     m = min(N, d)
     if target_rank is None:
         return min(m - 1, math.ceil(math.sqrt(m))) + 1
-    try:
-        return min(_target_rank(target_rank, m) + 1, m)
-    except ValueError:  # select_threshold refuses the hint itself, once the svd is done
-        return m
+    return min(_count_in_range(target_rank, m, "target_rank") + 1, m)
 
 
 def select_threshold(svd: SvdResult, target_rank: int | None = None) -> float:
@@ -302,15 +297,15 @@ def select_threshold(svd: SvdResult, target_rank: int | None = None) -> float:
     m = min(svd.N, svd.d)
     if m < 2:
         raise ValueError("need at least 2 singular values to place a threshold")
-    if target_rank is not None:
-        r = _target_rank(target_rank, m)
-    reads = _values_read(svd.N, svd.d, target_rank)
+    reads = _values_read(svd.N, svd.d, target_rank)  # checks target_rank
     if s.size < reads:
         raise ValueError(f"the threshold rule reads {reads} singular values, the svd holds {s.size} of {m}")
     if target_rank is None:
         num, den = s[: reads - 1], s[1:reads]
         ratios = np.divide(num, den, out=np.where(num > 0, np.inf, 0.0), where=den > 0)  # 0/0 is no gap
         r = int(np.argmax(ratios)) + 1
+    else:
+        r = int(target_rank)
     nxt = s[r] if r < m else 0.0
     return float((s[r - 1] + nxt) / 2.0)
 

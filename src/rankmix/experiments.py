@@ -35,8 +35,10 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .evaluation import empirical_tau
+from .fileio import _list_of, _parsed, read_key_values
 from .generators import GAUSSIAN, MNL, ComponentSpec, MixtureSpec, mask, normal_utilities, sample_mixture
 from .pipeline import run_pipeline_samples
+from .rankings import _integer_values
 from .seeding import TAG_MASK, TAG_SAMPLE, TAG_SIZES, TAG_TRIAL, TAG_UTILITIES, child_seed, substream
 
 EXPERIMENTS = ("exp1", "exp2", "exp3")
@@ -89,6 +91,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        for name in ("trials", "k", "samples", "directions"):  # counts: range() and seeds take ints
+            object.__setattr__(self, name, int(_integer_values(getattr(self, name), name)))
+        object.__setattr__(self, "n_list", tuple(_integer_values(self.n_list, "n_list").tolist()))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.n_list or any(n < 2 for n in self.n_list):
@@ -113,8 +118,6 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, experiment: str, out_dir: str, paper_scale: bool = False):
         """Start from the defaults for the experiment, override from key=value."""
-        from .fileio import _list_of, _parsed, read_key_values
-
         kv = read_key_values(path)
         cfg = default_config(experiment, out_dir, paper_scale=paper_scale)
         if "experiment" in kv:

@@ -9,10 +9,10 @@ Three small formats, all line-oriented ASCII:
   writes the same format from an observation matrix held in memory with 0
   marking a missing value, through one table of three tokens (-0.5, NA,
   0.5) and one row encoder; read_observations, which CLI denoise uses,
-  decodes through the same table in numpy, keeps the result only if the
-  encoder gives back the file's bytes, and reads any other file through
-  read_matrix. CLI denoise writes its estimate as two matrix files, the
-  N x r coordinates and the r x d basis, whose product is the dense estimate;
+  decodes through the same table, keeps the result only if the encoder
+  gives back the file's bytes, else checks read_matrix's, and returns an
+  ObservationMatrix. CLI denoise writes its estimate as two matrix files,
+  the N x r coordinates and the r x d basis, whose product is the dense estimate;
 * labels: one integer per line (integral floats and bools are written as
   integers; any other value is refused before the file is opened);
 * key=value: one pair per line (mixture specs, experiment configs, and the
@@ -29,6 +29,7 @@ import math
 
 import numpy as np
 
+from .estimation import ObservationMatrix
 from .generators import GAUSSIAN, MALLOWS, MNL, ComponentSpec, MixtureSpec
 from .rankings import Permutation, _integer_values, _observations
 
@@ -147,25 +148,26 @@ def _decode_rows(body: np.ndarray, N: int, d: int) -> np.ndarray | None:
     return codes if np.array_equal(_encode_rows(codes), body) else None
 
 
-def read_observations(path) -> np.ndarray:
-    """Read an observation matrix file: the float N x d matrix with 0 where
-    the file has NA. A file that is byte for byte what write_observations
+def read_observations(path) -> ObservationMatrix:
+    """Read an observation matrix file as an ObservationMatrix, 0 where the
+    file has NA. A file that is byte for byte what write_observations
     writes is decoded through its token table; any other file is read by
     read_matrix, with its errors, and an entry other than -0.5, 0.5 or NA is
-    reported with the path and the row."""
+    reported with the path and the row. Either check is the file's one
+    check: the matrix owns the array it checked, uncopied and unchecked."""
     with open(path, "rb") as fh:
         values = _decode_observations(fh.read())
-    if values is not None:
-        return values
-    values = read_matrix(path)
-    observed = np.isin(values, (-0.5, 0.5))
-    invalid = ~observed & ~np.isnan(values)
-    if invalid.any():
-        i, j = np.unravel_index(invalid.argmax(), invalid.shape)
-        problem = ("a missing entry is written NA, not 0" if values[i, j] == 0.0
-                   else "every entry must be exactly +1/2 or -1/2, or NA where missing")
-        raise ValueError(f"{path}: row {i}: {problem}")
-    return np.where(observed, values, 0.0)
+    if values is None:
+        values = read_matrix(path)
+        observed = np.isin(values, (-0.5, 0.5))
+        invalid = ~observed & ~np.isnan(values)
+        if invalid.any():
+            i, j = np.unravel_index(invalid.argmax(), invalid.shape)
+            problem = ("a missing entry is written NA, not 0" if values[i, j] == 0.0
+                       else "every entry must be exactly +1/2 or -1/2, or NA where missing")
+            raise ValueError(f"{path}: row {i}: {problem}")
+        values = np.where(observed, values, 0.0)
+    return ObservationMatrix._built(values)
 
 
 def read_matrix(path) -> np.ndarray:

@@ -68,10 +68,13 @@ class PipelineResult:
 
 def denoise(obs: ObservationMatrix, rank_hint: int | None = None) -> tuple[SvdResult, HsvtEstimate]:
     """SVD, t1 (from the rank hint, else the spectral gap) and HSVT of obs, as
-    run by the pipeline and by CLI denoise. The svd holds exactly the leading
-    singular values the t1 rule read (_values_read)."""
+    run by the pipeline and by CLI denoise. The select_t1 stage counts the
+    values the t1 rule reads (_values_read) before the svd, which holds
+    exactly those, so a refused rank hint fails without an eigensolve."""
+    with _stage("select_t1"):
+        reads = _values_read(obs.N, obs.d, rank_hint)
     with _stage("svd"):
-        svd = compute_svd(obs, top=_values_read(obs.N, obs.d, rank_hint))
+        svd = compute_svd(obs, top=reads)
     with _stage("select_t1"):
         t1 = select_threshold(svd, target_rank=rank_hint)
     with _stage("hsvt"):

@@ -60,7 +60,7 @@ def test_cli_generate_and_denoise_check_once_each(checks, tmp_path):
                  "--seed", "2", "--out", obs]) == 0
     assert len(checks) == 1  # write_observations, at the file boundary
     assert main(["denoise", "--in", obs, "--rank", "2", "--out", str(tmp_path / "mhat.txt")]) == 0
-    assert len(checks) == 2  # the ObservationMatrix constructor; read_observations checks nothing
+    assert len(checks) == 1  # read_observations decodes the writer's bytes; denoise takes its matrix as it is
 
 
 def test_writing_the_callers_arrays_after_building_does_not_reach_the_pipeline():

@@ -1,6 +1,7 @@
 """Command-line interface tests; run in-process except one entry-point check."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,12 +23,13 @@ from rankmix.fileio import (
     read_key_values,
     read_labels,
     read_matrix,
+    read_mixture_spec,
     read_observations,
     write_labels,
     write_mixture_spec,
 )
 from rankmix.generators import ComponentSpec, MixtureSpec, SampleBatch, mask
-from rankmix.pipeline import denoise
+from rankmix.pipeline import PipelineError, denoise, run_pipeline
 from rankmix.rankings import Permutation
 
 
@@ -142,7 +144,7 @@ def test_file_boundary_keeps_the_zero_marker(N, n, p, seed, bad):
         assert main(["generate", "--spec", "spec.txt", "--num", str(N), "--p", str(p),
                      "--seed", str(seed), "--out", out]) == 0
         from_file = ObservationMatrix.from_dense(read_matrix(out))
-        decoded = read_observations(out)
+        decoded = read_observations(out).values
     from_memory = ObservationMatrix.from_samples(batch)
     assert np.shares_memory(from_memory.values, batch.values)
     assert from_file.values.tobytes() == from_memory.values.tobytes()
@@ -394,6 +396,34 @@ def test_failing_denoise_stage_exits_1_and_names_the_stage(tmp_path, capsys, ran
     assert not out.exists()
 
 
+@pytest.mark.parametrize("hint", [0, 29, 2.7, np.nan])
+def test_a_refused_rank_hint_never_reaches_the_eigensolve(tmp_path, capsys, monkeypatch, hint):
+    # 8 items give d = 28 pairs, so with N = 40 rows m = min(N, d) = 28 and 29 is m + 1
+    spec, obs, out = tmp_path / "mix.txt", tmp_path / "obs.txt", tmp_path / "mhat.txt"
+    _write_two_component_spec(spec, n=8)
+    assert main(["generate", "--spec", str(spec), "--num", "40", "--p", "0.6", "--seed", "1", "--out", str(obs)]) == 0
+    calls, real_eigh = [], estimation.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "eigh", spy)
+    integral = float(hint).is_integer()
+    message = f"select_t1: target_rank must lie in [1, 28], got {hint}" if integral else \
+        "select_t1: target_rank must be integer values"
+    with pytest.raises(PipelineError, match="^" + re.escape(message) + "$"):
+        denoise(read_observations(obs), hint)
+    with pytest.raises(PipelineError, match="^" + re.escape(message) + "$"):
+        run_pipeline(read_mixture_spec(spec), N=40, p=0.6, seed=1, rank_hint=hint)
+    if integral:  # --rank parses an int, so 2.7 and NaN cannot reach denoise from the command line
+        capsys.readouterr()
+        assert main(["denoise", "--in", str(obs), "--rank", str(hint), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"rankmix: error: {message}\n"
+        assert not out.exists()
+    assert calls == []
+
+
 def _blas_threads():
     """scipy's OpenBLAS thread count, read by setting it and setting it back."""
     count = cli._SET_BLAS_THREADS(1)
@@ -408,8 +438,9 @@ _needs_thread_setter = pytest.mark.skipif(
 
 @_needs_thread_setter
 def test_denoise_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
-    obs, out = tmp_path / "obs.txt", tmp_path / "mhat.txt"
+    obs, column, out = tmp_path / "obs.txt", tmp_path / "column.txt", tmp_path / "mhat.txt"
     obs.write_text("3 3\n0.5 -0.5 NA\n-0.5 0.5 0.5\n0.5 NA -0.5\n")
+    column.write_text("3 1\n0.5\nNA\n-0.5\n")  # one singular value: select_t1 refuses it after the svd
     before = _blas_threads()
     seen, real_eigh = [], estimation.eigh
 
@@ -419,7 +450,7 @@ def test_denoise_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkey
 
     monkeypatch.setattr(estimation, "eigh", spy)
     assert main(["denoise", "--in", str(obs), "--auto", "--out", str(out)]) == 0
-    assert main(["denoise", "--in", str(obs), "--rank", "0", "--out", str(out)]) == 1  # fails after the svd
+    assert main(["denoise", "--in", str(column), "--auto", "--out", str(out)]) == 1
     assert seen == [1, 1] and _blas_threads() == before
 
 

@@ -308,16 +308,15 @@ def test_single_linkage_matches_full_scan_prim(kind, N, d, seed):
     st.integers(1, 12),
     st.integers(1, 4),
     st.integers(0, 2**32 - 1),
-    st.floats(0.05, 1.0),
 )
-def test_factored_clustering_matches_dense(N, d, k, seed, p_hat):
+def test_factored_clustering_matches_dense(N, d, k, seed):
     rng = np.random.default_rng(seed)
     centers = 4.0 * rng.normal(size=(k, d))
     y = centers[rng.integers(0, k, size=N)] + 0.3 * rng.normal(size=(N, d))
     svd = compute_svd(y)
     thresholds = np.append(svd.singular_values, 0.0)
     for r in range(min(N, d) + 1):  # every kept rank, 0 and min(N, d) included
-        est = hsvt(y, thresholds[r], svd=svd, p_hat=p_hat)
+        est = hsvt(y, thresholds[r], svd=svd)
         assert est.kept_rank == r and est.coords.shape == (N, r)
         factored = single_linkage(est.coords)
         dense = single_linkage(est.m_hat)

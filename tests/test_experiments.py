@@ -155,6 +155,21 @@ def test_config_rejects_non_finite_lambda_and_noise(tmp_path, value):
             ExperimentConfig.from_file(path, "exp2", "out")
 
 
+@pytest.mark.parametrize(
+    "field, fraction, integral",
+    [("trials", 1.5, 2.0), ("k", 2.5, 3.0), ("n_list", (12, 10.5), (12, 10.0)), ("samples", 1000.5, 1000.0),
+     ("directions", 2.5, 2.0)],
+)
+def test_config_refuses_a_fractional_count_when_built(field, fraction, integral):
+    # a fractional count would otherwise fail mid-sweep, in range() or as a seed
+    # that names another field; an integral float is kept as the int it equals
+    base = default_config("exp3", "out")
+    with pytest.raises(ValueError, match=f"^{field} must be integer values$"):
+        base.replace(**{field: fraction})
+    kept = getattr(base.replace(**{field: integral}), field)
+    assert kept == integral and all(type(v) is int for v in (kept if field == "n_list" else (kept,)))
+
+
 # ---------------------------------------------------------------------------
 # exp2
 # ---------------------------------------------------------------------------

@@ -87,8 +87,8 @@ def test_observations_reader_mirrors_the_writer(tmp_path, monkeypatch, shape, mi
     write_observations(tmp_path / "obs.txt", values)
     if 0 not in shape:  # the writer's bytes are decoded without read_matrix
         monkeypatch.setattr(fileio, "read_matrix", None)
-    back = read_observations(tmp_path / "obs.txt")
-    assert back.shape == shape and back.dtype == float
+    back = read_observations(tmp_path / "obs.txt").values
+    assert back.shape == shape and back.dtype == float and not back.flags.writeable
     assert back.tobytes() == values.tobytes()
 
 
@@ -233,7 +233,7 @@ def test_observations_reader_matches_read_matrix_and_from_dense(N, d, missing, s
         path.write_bytes(text)
         want, expected = _reference_outcome(path)
         try:
-            values = read_observations(path)
+            values = read_observations(path).values
         except ValueError as err:
             assert want != "values", (kind, text, err)
             same = str(err) == expected if want == "error" else str(err).startswith(expected)
