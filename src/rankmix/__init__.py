@@ -13,19 +13,13 @@ from .estimation import (
     delta_bound,
     estimate_p_hat,
     hsvt,
-    k_of_p,
     select_threshold,
     spectral_gap_check,
 )
 from .evaluation import (
-    CorollaryReport,
     EvaluationReport,
-    corollary_condition_check,
     empirical_tau,
-    gamma_lower_bound_gaussian,
-    gamma_lower_bound_mnl,
     misclassification_rate,
-    psi2_norm,
     separation_gamma,
 )
 from .experiments import (
@@ -52,10 +46,8 @@ from .generators import (
     SampleBatch,
     cluster_mean,
     exact_pairwise_marginal,
-    hypercube_utilities,
     mask,
     normal_utilities,
-    rho_separated_utilities,
     sample_mixture,
 )
 from .pipeline import PipelineError, PipelineResult, run_pipeline, run_pipeline_samples
@@ -75,7 +67,6 @@ __all__ = [
     "EXPERIMENTS",
     "ClusteringResult",
     "ComponentSpec",
-    "CorollaryReport",
     "EvaluationReport",
     "ExperimentConfig",
     "HsvtEstimate",
@@ -89,7 +80,6 @@ __all__ = [
     "SvdResult",
     "cluster_mean",
     "compute_svd",
-    "corollary_condition_check",
     "default_config",
     "delta_bound",
     "embed",
@@ -97,23 +87,17 @@ __all__ = [
     "empirical_tau",
     "estimate_p_hat",
     "exact_pairwise_marginal",
-    "gamma_lower_bound_gaussian",
-    "gamma_lower_bound_mnl",
     "hsvt",
-    "hypercube_utilities",
-    "k_of_p",
     "kendall_tau",
     "mask",
     "misclassification_rate",
     "normal_utilities",
     "pair_index",
     "pair_of",
-    "psi2_norm",
     "read_key_values",
     "read_labels",
     "read_matrix",
     "read_mixture_spec",
-    "rho_separated_utilities",
     "run_experiment",
     "run_pipeline",
     "run_pipeline_samples",
@@ -129,4 +113,4 @@ __all__ = [
     "write_mixture_spec",
 ]
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -173,7 +173,10 @@ def _as_matrix(y) -> np.ndarray:
 
 
 def estimate_p_hat(obs: ObservationMatrix) -> float:
-    """Observed (nonzero) fraction, floored at 1/(N*d) so rescaling never divides by 0."""
+    """Observed (nonzero) fraction, floored at 1/(N*d) so rescaling never divides by 0.
+    A matrix with no cells (N or d is 0) raises ValueError."""
+    if obs.values.size == 0:
+        raise ValueError(f"a {obs.N}x{obs.d} observation matrix has no cells to estimate p from")
     return max(int(np.count_nonzero(obs.values)), 1) / obs.values.size
 
 
@@ -207,7 +210,9 @@ def compute_svd(y, top: int | None = None) -> SvdResult:
     part of it). The other side is the top back-products a v_j / sigma_j from
     BLAS gemm, and a zero column where sigma_j = 0. Every BLAS and LAPACK call
     goes through scipy, whose BLAS may be another library than numpy's, each
-    with its own thread pool: one library keeps the route on one pool.
+    with its own thread pool: one library keeps the route on one pool. A
+    matrix with min(N, d) = 0 has no singular triples and raises ValueError
+    before any BLAS call.
 
     An ObservationMatrix's Gram matrix is formed by ssyrk on a float32 copy
     and is exact: every product is 0 or +-1/4, so every partial sum, in any
@@ -220,6 +225,8 @@ def compute_svd(y, top: int | None = None) -> SvdResult:
     values = _as_matrix(y)
     wide = values.shape[0] < values.shape[1]
     m = min(values.shape)
+    if m == 0:  # syrk would be called with illegal arguments
+        raise ValueError(f"a {values.shape[0]}x{values.shape[1]} matrix has no singular values")
     top = m if top is None else _count_in_range(top, m, "top")
     # values.T is an F-ordered view of a C-ordered matrix, so it reaches BLAS uncopied;
     # syrk fills the upper triangle of a^T a, which is all that eigh reads

@@ -3,10 +3,8 @@
 Risk is the minimum disagreement fraction over injective matchings between
 predicted and true label sets, found by one rectangular assignment
 (scipy's linear_sum_assignment) on the matrix of agreement counts. The
-separation side provides the minimum pairwise distance between component
-means, closed-form lower bounds for it under the two parametric families
-(natural log throughout; the values can be negative and are returned
-as-is), and an empirical sub-Gaussian dispersion estimate tau_hat.
+separation side provides the minimum pairwise distance gamma between
+component means and an empirical sub-Gaussian dispersion estimate tau_hat.
 
 tau_hat maximizes the empirical psi2 norm of <u, X - mean> over candidate
 directions u. Random unit directions alone concentrate on the typical
@@ -24,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import bisect
 from scipy.optimize import linear_sum_assignment
-from scipy.special import ndtr
 
 from .generators import ComponentSpec, MixtureSpec, sample_mixture
 from .seeding import TAG_DIRECTIONS, substream
@@ -36,17 +33,6 @@ class EvaluationReport:
     risk: float
     matching: tuple[tuple[int, int], ...]
     gamma: float | None = None
-
-
-@dataclass(frozen=True)
-class CorollaryReport:
-    """Does the observation probability clear the sufficiency threshold?"""
-
-    condition_value: float
-    p: float
-    satisfied: bool
-    satisfiable: bool
-    comparison_count: float
 
 
 def misclassification_rate(predicted, truth):
@@ -84,28 +70,6 @@ def separation_gamma(means) -> float:
         float(np.linalg.norm(means[i] - means[j]))
         for i in range(len(means))
         for j in range(i + 1, len(means))
-    )
-
-
-def gamma_lower_bound_mnl(n: int, rho: float, beta: float) -> float:
-    """Separation guaranteed for mnl components whose consecutive utility
-    gaps are at least rho, noise scale beta. Can be negative (vacuous)."""
-    if n < 2 or beta <= 0 or rho < 0:
-        raise ValueError("need n >= 2, beta > 0, rho >= 0")
-    e = math.exp(-rho / beta)
-    return math.sqrt(n * (n - 1)) / 2.0 * (1.0 - e) / (1.0 + e) - 4.0 * math.sqrt(
-        n * math.log(n)
-    )
-
-
-def gamma_lower_bound_gaussian(n: int, sigma: float) -> float:
-    """Separation guaranteed for gaussian components with hypercube
-    utilities, noise scale sigma. Can be negative (vacuous)."""
-    if n < 2 or sigma <= 0:
-        raise ValueError("need n >= 2, sigma > 0")
-    phi = float(ndtr(1.0 / (sigma * math.sqrt(2.0))))
-    return math.sqrt(n * (n - 1)) / math.sqrt(2.0) * (phi - 0.5) - 4.0 * math.sqrt(
-        n * math.log(n)
     )
 
 
@@ -160,29 +124,3 @@ def empirical_tau(
         if np.any(proj != 0.0):
             best = max(best, psi2_norm(proj))
     return best
-
-
-def corollary_condition_check(
-    n: int,
-    N: int,
-    p: float,
-    r: int,
-    gamma: float,
-    tau_star: float,
-    constant: float = 1.0,
-) -> CorollaryReport:
-    """Diagnostic: does p clear constant * tau* * sqrt(r) * log(n) / gamma?
-
-    Also reports the implied total comparison count N * p * n(n-1)/2 and
-    whether any p <= 1 could satisfy the condition at all.
-    """
-    if n < 2 or N < 1 or p <= 0 or r < 1 or gamma <= 0 or tau_star <= 0:
-        raise ValueError("all corollary inputs must be positive")
-    value = 0.0 if math.isinf(gamma) else constant * tau_star * math.sqrt(r) * math.log(n) / gamma
-    return CorollaryReport(
-        condition_value=value,
-        p=float(p),
-        satisfied=p > value,
-        satisfiable=value < 1.0,
-        comparison_count=n * (n - 1) / 2.0 * N * p,
-    )

@@ -39,7 +39,7 @@ from .fileio import _list_of, _parsed, read_key_values
 from .generators import GAUSSIAN, MNL, ComponentSpec, MixtureSpec, mask, normal_utilities, sample_mixture
 from .pipeline import run_pipeline_samples
 from .rankings import _integer_values
-from .seeding import TAG_MASK, TAG_SAMPLE, TAG_SIZES, TAG_TRIAL, TAG_UTILITIES, child_seed, substream
+from .seeding import TAG_MASK, TAG_SAMPLE, TAG_SIZES, TAG_TRIAL, TAG_UTILITIES, _seed, child_seed, substream
 
 EXPERIMENTS = ("exp1", "exp2", "exp3")
 EXP2_COLUMNS = ("n", "k", "sigma_or_beta", "p", "trial", "risk", "k_hat", "p_hat", "t1", "t2")
@@ -91,6 +91,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        object.__setattr__(self, "seed", _seed(self.seed))  # before run_experiment makes out_dir
         for name in ("trials", "k", "samples", "directions"):  # counts: range() and seeds take ints
             object.__setattr__(self, name, int(_integer_values(getattr(self, name), name)))
         object.__setattr__(self, "n_list", tuple(_integer_values(self.n_list, "n_list").tolist()))

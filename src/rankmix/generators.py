@@ -317,14 +317,3 @@ def _mallows_before(phi: float, rank_a: np.ndarray, rank_b: np.ndarray) -> np.nd
 def normal_utilities(n: int, rng_seed) -> np.ndarray:
     """The experiments' utility draw: u ~ N(0, I_n)."""
     return np.random.default_rng(rng_seed).standard_normal(n)
-
-
-def hypercube_utilities(n: int, rng_seed) -> np.ndarray:
-    """Uniform draw from the vertices of the +-1/2 hypercube."""
-    rng = np.random.default_rng(rng_seed)
-    return np.where(rng.random(n) < 0.5, -0.5, 0.5)
-
-
-def rho_separated_utilities(n: int, rho: float) -> np.ndarray:
-    """Descending utilities with every consecutive gap exactly rho."""
-    return rho * np.arange(n - 1, -1, -1, dtype=float)

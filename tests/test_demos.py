@@ -1,6 +1,8 @@
 """Every narrated demo under demos/, README's Python blocks and its
-command-line chain run to completion against this package."""
+command-line chain run to completion against this package, and every
+public name has a caller in the package or the demos."""
 
+import ast
 import os
 import re
 import shlex
@@ -71,3 +73,18 @@ def test_public_names_resolve_once():
     assert len(set(rankmix.__all__)) == len(rankmix.__all__)
     for name in rankmix.__all__:
         assert getattr(rankmix, name) is not None, name
+
+
+def test_every_public_name_has_a_caller():
+    # a definition is not a use: FunctionDef/ClassDef names are not Name nodes
+    sources = [p for p in (ROOT / "src" / "rankmix").glob("*.py") if p.name != "__init__.py"] + DEMOS
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(set(rankmix.__all__) - used) == []

@@ -336,6 +336,22 @@ def test_non_finite_plain_arrays_rejected(bad):
         hsvt(y, 0.5, svd=svd)
 
 
+@pytest.mark.parametrize("kind", ["observations", "plain"])
+@pytest.mark.parametrize("shape", [(5, 0), (0, 4), (0, 0)], ids=["Nx0", "0xd", "0x0"])
+def test_empty_matrix_is_refused_before_blas(shape, kind, capfd):
+    # syrk on an empty side has illegal arguments: OpenBLAS prints, a reference xerbla stops
+    y = ObservationMatrix(np.zeros(shape)) if kind == "observations" else np.zeros(shape)
+    name = f"{shape[0]}x{shape[1]}"
+    with pytest.raises(ValueError, match=f"a {name} matrix has no singular values"):
+        compute_svd(y)
+    with pytest.raises(ValueError, match=f"a {name} (observation )?matrix has no"):
+        hsvt(y, 0.0)
+    if kind == "observations":
+        with pytest.raises(ValueError, match=f"a {name} observation matrix has no cells"):
+            estimate_p_hat(y)
+    assert capfd.readouterr() == ("", "")
+
+
 # -------------------------------------------------------------------- hsvt
 
 def test_hsvt_zero_threshold_full_observation_reproduces_y():

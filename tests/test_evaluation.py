@@ -1,12 +1,8 @@
-"""Tests for risk scoring, separation bounds, and sub-Gaussian norm estimates.
+"""Tests for risk scoring, separation, and sub-Gaussian norm estimates.
 
 Risk values are checked against an exhaustive matching oracle
-(tests/oracles.py). Closed-form constants below were each computed two ways
-with independent formulas (plain exp vs tanh identity; scipy.special.ndtr vs
-statistics.NormalDist) and froze to the agreed digits:
+(tests/oracles.py). Closed-form constants below froze to the agreed digits:
 
-    gamma_lower_bound_mnl(30, 1, 0.3)    = -26.673238738028402
-    gamma_lower_bound_gaussian(30, 0.3)  = -30.168917771743885
     psi2 of a fair +-1/2 coin            = 0.5/sqrt(ln 2) = 0.6005612043932249
     psi2 of N(0, s^2)                    = s*sqrt(8/3)
 """
@@ -17,23 +13,16 @@ import numpy as np
 import pytest
 
 from rankmix.evaluation import (
-    CorollaryReport,
-    corollary_condition_check,
     empirical_tau,
-    gamma_lower_bound_gaussian,
-    gamma_lower_bound_mnl,
     misclassification_rate,
     psi2_norm,
     separation_gamma,
 )
-from rankmix.generators import ComponentSpec, MixtureSpec, cluster_mean, hypercube_utilities, sample_mixture
+from rankmix.generators import ComponentSpec, MixtureSpec, cluster_mean, sample_mixture
 from rankmix.rankings import Permutation
-from rankmix.seeding import substream
 
 from oracles import oracle_risk_exhaustive
 
-GAMMA_MNL_30_1_03 = -26.673238738028402
-GAMMA_GAUSS_30_03 = -30.168917771743885
 TWO_POINT_PSI2 = 0.6005612043932249
 
 # worst observed tau_hat / sqrt(n-1) across families and n in {10..200} was
@@ -176,57 +165,6 @@ def test_gamma_equals_bruteforce_pairwise_min_for_mnl_means():
 
 
 # ---------------------------------------------------------------------------
-# gamma lower bounds
-# ---------------------------------------------------------------------------
-
-def test_gamma_mnl_frozen_value():
-    assert gamma_lower_bound_mnl(30, 1.0, 0.3) == pytest.approx(GAMMA_MNL_30_1_03, abs=1e-9)
-
-
-def test_gamma_mnl_rho_zero():
-    n = 12
-    assert gamma_lower_bound_mnl(n, 0.0, 1.0) == pytest.approx(
-        -4.0 * math.sqrt(n * math.log(n)), abs=1e-12
-    )
-
-
-def test_gamma_mnl_saturates_as_rho_dominates():
-    n = 12
-    want = math.sqrt(n * (n - 1)) / 2.0 - 4.0 * math.sqrt(n * math.log(n))
-    assert gamma_lower_bound_mnl(n, 1e6, 1.0) == pytest.approx(want, abs=1e-9)
-
-
-def test_gamma_gaussian_frozen_value():
-    assert gamma_lower_bound_gaussian(30, 0.3) == pytest.approx(GAMMA_GAUSS_30_03, abs=1e-9)
-
-
-def test_gamma_gaussian_infinite_noise_limit():
-    n = 15
-    assert gamma_lower_bound_gaussian(n, 1e9) == pytest.approx(
-        -4.0 * math.sqrt(n * math.log(n)), abs=1e-6
-    )
-
-
-def test_gamma_gaussian_zero_noise_limit():
-    n = 15
-    want = math.sqrt(n * (n - 1)) / math.sqrt(2.0) * 0.5 - 4.0 * math.sqrt(n * math.log(n))
-    assert gamma_lower_bound_gaussian(n, 1e-9) == pytest.approx(want, abs=1e-9)
-
-
-def test_gamma_gaussian_bound_below_empirical_separation():
-    n = 30
-    hits = 0
-    for trial in range(50):
-        rng = substream(16, trial)
-        a = ComponentSpec.gaussian(hypercube_utilities(n, rng), 0.3)
-        b = ComponentSpec.gaussian(hypercube_utilities(n, rng), 0.3)
-        gamma = separation_gamma([cluster_mean(a), cluster_mean(b)])
-        if gamma_lower_bound_gaussian(n, 0.3) <= gamma:
-            hits += 1
-    assert hits >= 45
-
-
-# ---------------------------------------------------------------------------
 # psi2_norm / empirical_tau
 # ---------------------------------------------------------------------------
 
@@ -309,49 +247,3 @@ def test_tau_deterministic_given_seed():
     a = empirical_tau(spec, num_samples=200, num_directions=4, rng_seed=9)
     b = empirical_tau(spec, num_samples=200, num_directions=4, rng_seed=9)
     assert a == b
-
-
-# ---------------------------------------------------------------------------
-# corollary_condition_check
-# ---------------------------------------------------------------------------
-
-def test_corollary_infinite_separation_always_satisfied():
-    report = corollary_condition_check(
-        n=30, N=100, p=1e-6, r=2, gamma=math.inf, tau_star=5.0, constant=1.0
-    )
-    assert isinstance(report, CorollaryReport)
-    assert report.condition_value == 0.0
-    assert report.satisfied
-    assert report.satisfiable
-
-
-def test_corollary_value_above_one_not_satisfiable():
-    report = corollary_condition_check(
-        n=30, N=100, p=1.0, r=4, gamma=0.01, tau_star=10.0, constant=1.0
-    )
-    assert report.condition_value > 1.0
-    assert not report.satisfied
-    assert not report.satisfiable
-
-
-def test_corollary_formula_and_comparison_count():
-    n, N, p, r, gamma, tau_star, c = 20, 500, 0.3, 3, 2.5, 4.0, 1.7
-    report = corollary_condition_check(n=n, N=N, p=p, r=r, gamma=gamma, tau_star=tau_star, constant=c)
-    want_value = c * tau_star * math.sqrt(r) * math.log(n) / gamma
-    assert report.condition_value == pytest.approx(want_value, abs=1e-12)
-    assert report.satisfied == (p > want_value)
-    assert report.comparison_count == pytest.approx(n * (n - 1) / 2 * N * p, abs=1e-9)
-
-
-def test_corollary_generic_tau_substitution():
-    # with tau* = sqrt(n), N = n^4, and p at the threshold, the implied
-    # comparison count scales like sqrt(r) * n^6.5 * log(n) / gamma
-    n, r, gamma, c = 40, 2, 1.3, 1.0
-    tau_star = math.sqrt(n)
-    N = n**4
-    p = c * tau_star * math.sqrt(r) * math.log(n) / gamma
-    report = corollary_condition_check(n=n, N=N, p=p, r=r, gamma=gamma, tau_star=tau_star, constant=c)
-    want = (n * (n - 1) / 2) * N * p
-    assert report.comparison_count == pytest.approx(want, rel=1e-12)
-    ratio = report.comparison_count / (math.sqrt(r) * math.log(n) / gamma)
-    assert ratio == pytest.approx((n * (n - 1) / 2) * n**4 * math.sqrt(n) * c, rel=1e-12)

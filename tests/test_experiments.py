@@ -170,6 +170,19 @@ def test_config_refuses_a_fractional_count_when_built(field, fraction, integral)
     assert kept == integral and all(type(v) is int for v in (kept if field == "n_list" else (kept,)))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_config_refuses_a_bad_seed_when_built(tmp_path, seed):
+    # refused when built, so run_experiment never makes the output directory
+    out = tmp_path / "out"
+    message = f"^seed must be a non-negative integer, got {seed}$"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(experiment="exp2", out_dir=str(out), seed=seed)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(_tiny_exp2(tmp_path, seed=seed))
+    assert not out.exists()
+    assert type(_tiny_exp2(tmp_path, seed=np.int64(3)).seed) is int
+
+
 # ---------------------------------------------------------------------------
 # exp2
 # ---------------------------------------------------------------------------

@@ -31,10 +31,8 @@ from rankmix.generators import (
     _draws,
     cluster_mean,
     exact_pairwise_marginal,
-    hypercube_utilities,
     mask,
     normal_utilities,
-    rho_separated_utilities,
     sample_mixture,
 )
 from rankmix.pipeline import run_pipeline
@@ -598,12 +596,6 @@ def test_no_rows_draw_no_words():
 def test_utility_helpers():
     u = normal_utilities(10, rng_seed=3)
     assert u.shape == (10,)
-    h = hypercube_utilities(12, rng_seed=4)
-    assert set(np.abs(h)) == {0.5}
-    r = rho_separated_utilities(5, rho=0.3)
-    gaps = -np.diff(r)
-    assert np.allclose(gaps, 0.3)
-    assert r[0] > r[-1]
 
 
 def test_batch_sampler_matches_shape_and_values():
