@@ -42,6 +42,7 @@ print("diagnostics:")
 for key, value in result.diagnostics.items():
     print(f"  {key} = {value}")
 print(f"k_hat = {result.clustering.k_hat},  risk = {result.evaluation.risk:.4f}")
+print("matching (predicted:true) = " + ",".join(f"{i}:{j}" for i, j in result.evaluation.matching))
 
 # same thing through the file formats / CLI entry point, in a directory removed afterwards
 with tempfile.TemporaryDirectory(prefix="rankmix_demo_") as tmp:

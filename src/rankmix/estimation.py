@@ -29,10 +29,10 @@ orthonormal rows, distances between rows of m_hat equal distances between
 rows of the N x r coordinates left / p_hat, so clustering never needs it.
 
 The module also exposes the concentration-side diagnostics: the K(p) norm of
-a centered Bernoulli, the Delta noise-level bound, and a report that checks a
-chosen threshold against the spectrum of the ground-truth mean matrix (only
-available in synthetic mode). The unspecified absolute constant in the Delta
-bound is the keyword C, default 1; it gates nothing.
+a centered Bernoulli, the Delta noise-level bound (its unspecified absolute
+constant is the keyword C, default 1), and a report that places a chosen
+threshold in the rank-preservation window of the ground-truth mean matrix
+(synthetic mode only), with Delta beside the measured noise level.
 """
 
 from __future__ import annotations
@@ -62,19 +62,20 @@ class ObservationMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        self._freeze(_observations(np.array(self.values, dtype=float)))
+        self._freeze(values=_observations(np.array(self.values, dtype=float)))
 
     @classmethod
     def _built(cls, values) -> "ObservationMatrix":
         """A matrix of checked values that no caller can write to: frozen in
         place, unchecked and uncopied."""
         obs = object.__new__(cls)
-        obs._freeze(values)
+        obs._freeze(values=values)
         return obs
 
-    def _freeze(self, values) -> None:
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+    def _freeze(self, **arrays) -> None:
+        for name, array in arrays.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @classmethod
     def from_dense(cls, values) -> "ObservationMatrix":
@@ -87,8 +88,8 @@ class ObservationMatrix:
 
     @classmethod
     def from_samples(cls, batch) -> "ObservationMatrix":
-        """Wrap a SampleBatch's values (0 already marks missing), unchecked and
-        uncopied: the batch checked them when it was built and owns them."""
+        """A SampleBatch's values without its labels (a batch is already an
+        ObservationMatrix), unchecked and uncopied, as the batch owns them."""
         return cls._built(batch.values)
 
     @property
@@ -352,17 +353,13 @@ def delta_bound(
 
 @dataclass(frozen=True)
 class SpectralGapReport:
-    """Diagnostics comparing a chosen threshold with the true mean spectrum."""
+    """The noise level and the true mean spectrum that place a chosen t1."""
 
     p: float
     noise_norm: float
     delta: float
     rank: int
-    sigma_r_m: float
     sigma_r_pm: float
-    t1: float
-    p_exceeds_threshold: bool
-    t1_proper: bool
     rank_preservation_predicted: bool
 
 
@@ -372,37 +369,32 @@ def spectral_gap_check(
     t1: float,
     tau_star: float,
     true_p: float | None = None,
-    C: float = 1.0,
 ) -> SpectralGapReport:
-    """Evaluate the threshold conditions against a known mean matrix M.
+    """Evaluate the threshold window against a known mean matrix M.
 
-    Purely diagnostic and synthetic-only: M must be the ground-truth row
-    means. Reports ||Y - pM||_2, Delta, and three booleans: p > 4*Delta /
-    sigma_r(M); t1 in (Delta, sigma_r(pM) - Delta); and the
+    Purely diagnostic and synthetic-only: M must be the N x d ground-truth
+    row means with d = n(n-1)/2 (ValueError otherwise). Reports
+    ||Y - pM||_2, Delta (C = 1), r = rank(M), sigma_r(pM) and the
     rank-preservation window ||Y - pM||_2 < t1 < sigma_r(pM) - ||Y - pM||_2,
-    which predicts that thresholding keeps exactly rank(M) components.
+    which predicts that thresholding keeps exactly r components.
     """
     mean_matrix = np.asarray(mean_matrix, dtype=float)
+    if mean_matrix.shape != obs.values.shape:
+        raise ValueError(f"mean_matrix is {mean_matrix.shape}, the observations are {obs.values.shape}")
+    n = round((1 + math.sqrt(1 + 8 * obs.d)) / 2)
+    if n * (n - 1) // 2 != obs.d:
+        raise ValueError(f"the observations are {obs.values.shape}: d = {obs.d} is not n(n-1)/2 for an integer n")
     p = estimate_p_hat(obs) if true_p is None else float(true_p)
     noise_norm = float(np.linalg.norm(obs.values - p * mean_matrix, 2))
     s = np.linalg.svd(mean_matrix, compute_uv=False)
     rank = int(np.count_nonzero(s > s[0] * 1e-9)) if s.size and s[0] > 0 else 0
-    # infer n from the pair count d = n(n-1)/2
-    n = int(round((1 + math.sqrt(1 + 8 * obs.d)) / 2))
-    delta = delta_bound(obs.N, n, p, tau_star, C)
-    if rank == 0:
-        return SpectralGapReport(p, noise_norm, delta, 0, 0.0, 0.0, t1, False, False, False)
-    sigma_r_m = float(s[rank - 1])
-    sigma_r_pm = p * sigma_r_m
+    delta = delta_bound(obs.N, n, p, tau_star)
+    sigma_r_pm = p * float(s[rank - 1]) if rank else 0.0
     return SpectralGapReport(
         p=p,
         noise_norm=noise_norm,
         delta=delta,
         rank=rank,
-        sigma_r_m=sigma_r_m,
         sigma_r_pm=sigma_r_pm,
-        t1=float(t1),
-        p_exceeds_threshold=p > 4.0 * delta / sigma_r_m,
-        t1_proper=delta < t1 < sigma_r_pm - delta,
         rank_preservation_predicted=noise_norm < t1 < sigma_r_pm - noise_norm,
     )

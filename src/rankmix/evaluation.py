@@ -28,11 +28,10 @@ from .seeding import TAG_DIRECTIONS, substream
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Risk plus the separation diagnostic of one pipeline run."""
+    """Risk of one pipeline run and the label matching that attains it."""
 
     risk: float
     matching: tuple[tuple[int, int], ...]
-    gamma: float | None = None
 
 
 def misclassification_rate(predicted, truth):

@@ -18,10 +18,11 @@ proportional to phi**r.
 One sampler, ``sample_mixture``, draws N rows: uniforms (N, n) -- of which
 mallows reads the first n-1 -- become noise terms, then item ranks (N, n),
 then embedded rows (N, d); repeated insertion takes one numpy step per item
-for all rows. Rows travel as one columnar ``SampleBatch`` (values over +-1/2
-with 0 where missing -- the one in-memory marker; files write ``NA`` --
-and labels); masking keeps each coordinate with probability p. A row has
-no identity beyond its position. Only a batch a caller builds is checked.
+for all rows. Rows travel as one columnar ``SampleBatch``: an
+``ObservationMatrix`` (values over +-1/2 with 0 where missing -- the one
+in-memory marker; files write ``NA``) plus labels, which the denoiser takes
+as it is; masking keeps each coordinate with probability p. A row has no
+identity beyond its position. Only a batch a caller builds is checked.
 
 All row randomness is counter-keyed by (seed, tag, position)
 (``seeding._keyed_uniforms``): row ell of a sample reads the n uniforms
@@ -41,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .rankings import Permutation, _observations, _pairs, embed_positions
+from .estimation import ObservationMatrix
+from .rankings import Permutation, _pairs, embed_positions
 from .rankings import embed  # noqa: F401 -- perfbench/spans.py wraps generators.embed, so it stays bound
 from .seeding import TAG_LABELS, TAG_MASK, TAG_SAMPLE, _keyed_uniforms, _keyed_words, _seed, substream
 
@@ -143,41 +145,33 @@ class MixtureSpec:
 
 
 @dataclass(frozen=True)
-class SampleBatch:
-    """N embedded, possibly masked rows with their hidden labels.
-
-    ``values`` is (N, d) over {-1/2, +1/2, 0}, 0 marking a missing
-    coordinate; NaN and inf are refused. Row r is keyed by its position r
-    (``mask`` reads its randomness there). The batch owns its arrays: the
-    constructor checks and freezes copies, so the caller's arrays stay
-    writable and later writes to them do not reach the batch.
+class SampleBatch(ObservationMatrix):
+    """N embedded, possibly masked rows with their hidden labels: the
+    ObservationMatrix of the rows plus one label per row, so the denoiser
+    takes a batch as it is. Row r is keyed by its position r (``mask`` reads
+    its randomness there). The constructor checks and freezes copies, so
+    later writes to the caller's arrays do not reach the batch.
     """
 
-    values: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        values = _observations(np.array(self.values, dtype=float))
+        super().__post_init__()
         labels = np.array(self.labels, dtype=np.int64)
-        if labels.shape != (values.shape[0],):
-            raise ValueError(f"need (N, d) values with N labels, got shapes {values.shape}, {labels.shape}")
-        self._freeze(values, labels)
+        if labels.shape != (self.N,):
+            raise ValueError(f"need (N, d) values with N labels, got shapes {self.values.shape}, {labels.shape}")
+        self._freeze(labels=labels)
 
     @classmethod
     def _built(cls, values, labels) -> "SampleBatch":
         """A batch of arrays that sample_mixture or mask has just made valid
         and no caller holds: frozen in place, unchecked and uncopied."""
-        batch = object.__new__(cls)
-        batch._freeze(values, labels)
+        batch = super()._built(values)
+        batch._freeze(labels=labels)
         return batch
 
-    def _freeze(self, values, labels) -> None:
-        for name, array in (("values", values), ("labels", labels)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
-
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.N
 
 
 # ----------------------------------------------------------------- sampling

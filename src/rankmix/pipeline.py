@@ -1,12 +1,11 @@
 """End-to-end run: sample a mixture, mask, denoise, cluster, score.
 
-The stages are fixed: stack the masked embeddings (0 where missing), estimate
-the observation probability, take the SVD, choose the singular value
-threshold (from a rank hint when given, by spectral gap otherwise),
-rescale-and-threshold into rank-r factors, cluster the N x r coordinates (one MST whose weight gap
-chooses the distance threshold and whose cut gives the single-linkage labels;
-their distances are those of the dense estimate's rows, which is never
-built), then score the labels against the hidden truth.
+The stages are fixed: sample, mask (the masked batch is the observation
+matrix, 0 where missing), select_t1 (from a rank hint when given, by spectral
+gap otherwise) around the svd, hsvt into rank-r factors, cluster the N x r
+coordinates (one MST whose weight gap chooses the distance threshold and whose
+cut gives the single-linkage labels; their distances are those of the dense
+estimate's rows, which is never built), then evaluate against the hidden truth.
 Every stage failure is re-raised as a PipelineError tagged with the stage
 name, and every random choice descends from the one seed argument.
 """
@@ -26,8 +25,8 @@ from .estimation import (
     hsvt,
     select_threshold,
 )
-from .evaluation import EvaluationReport, misclassification_rate, separation_gamma
-from .generators import MixtureSpec, SampleBatch, cluster_mean, mask, sample_mixture
+from .evaluation import EvaluationReport, misclassification_rate
+from .generators import MixtureSpec, SampleBatch, mask, sample_mixture
 
 
 class PipelineError(RuntimeError):
@@ -52,7 +51,8 @@ def _stage(name: str):
 class PipelineResult:
     """Clustering and evaluation plus the intermediates that produced them.
 
-    Iterates as the (clustering, evaluation) pair so callers can unpack it.
+    obs is the denoised batch itself. Iterates as the (clustering, evaluation)
+    pair so callers can unpack it.
     """
 
     clustering: ClusteringResult
@@ -82,26 +82,17 @@ def denoise(obs: ObservationMatrix, rank_hint: int | None = None) -> tuple[SvdRe
     return svd, estimate
 
 
-def run_pipeline_samples(batch: SampleBatch, exact_means=None, rank_hint: int | None = None) -> PipelineResult:
-    """Denoise-cluster-score a batch of labeled (possibly masked) rows.
-
-    exact_means, when given, are the true component means used for the
-    separation diagnostic; with fewer than two of them gamma is None.
-    """
-    with _stage("stack"):
-        obs = ObservationMatrix.from_samples(batch)
-    svd, estimate = denoise(obs, rank_hint)
+def run_pipeline_samples(batch: SampleBatch, rank_hint: int | None = None) -> PipelineResult:
+    """Denoise-cluster-score a batch of labeled (possibly masked) rows."""
+    svd, estimate = denoise(batch, rank_hint)
     with _stage("cluster"):
         clustering = single_linkage(estimate.coords)
     with _stage("evaluate"):
         risk, matching = misclassification_rate(clustering.labels, batch.labels)
-        gamma = None
-        if exact_means is not None and len(exact_means) >= 2:
-            gamma = separation_gamma(exact_means)
-        evaluation = EvaluationReport(risk=risk, matching=matching, gamma=gamma)
+        evaluation = EvaluationReport(risk=risk, matching=matching)
     diagnostics = {
-        "N": obs.N,
-        "d": obs.d,
+        "N": batch.N,
+        "d": batch.d,
         "p_hat": estimate.p_hat,
         "t1": estimate.threshold_used,
         "t2": clustering.threshold_used,
@@ -109,7 +100,7 @@ def run_pipeline_samples(batch: SampleBatch, exact_means=None, rank_hint: int | 
         "k_hat": clustering.k_hat,
         "risk": risk,
     }
-    return PipelineResult(clustering, evaluation, diagnostics, obs, svd, estimate)
+    return PipelineResult(clustering, evaluation, diagnostics, batch, svd, estimate)
 
 
 def run_pipeline(
@@ -125,6 +116,4 @@ def run_pipeline(
         batch = sample_mixture(spec, N, seed)
     with _stage("mask"):
         batch = mask(batch, p, seed)
-    with _stage("means"):
-        exact_means = [cluster_mean(c) for c in spec.components] if spec.k >= 2 else None
-    return run_pipeline_samples(batch, exact_means=exact_means, rank_hint=rank_hint)
+    return run_pipeline_samples(batch, rank_hint=rank_hint)

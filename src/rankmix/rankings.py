@@ -80,7 +80,9 @@ def _integer_values(values, what: str) -> np.ndarray:
 
 
 def pair_index(a: int, b: int, n: int) -> int:
-    """Lexicographic rank of the pair (a, b), a < b, among all pairs from n items."""
+    """Lexicographic rank of the pair (a, b), a < b, among all pairs from n items.
+    a, b and n must be integer values (integral floats and bools pass)."""
+    a, b, n = _integer_values((a, b, n), "a, b and n").tolist()
     if not (0 <= a < b < n):
         raise ValueError(f"need 0 <= a < b < n, got a={a}, b={b}, n={n}")
     # pairs with first coordinate < a come first, then (a, a+1) ... (a, b)
@@ -88,7 +90,9 @@ def pair_index(a: int, b: int, n: int) -> int:
 
 
 def pair_of(k: int, n: int) -> tuple[int, int]:
-    """Inverse of pair_index: the k-th pair in lexicographic order."""
+    """Inverse of pair_index: the k-th pair in lexicographic order. k and n
+    must be integer values (integral floats and bools pass)."""
+    k, n = _integer_values((k, n), "k and n").tolist()
     d = n * (n - 1) // 2
     if not (0 <= k < d):
         raise ValueError(f"pair index {k} out of range [0, {d})")
@@ -135,8 +139,8 @@ def _check_masked_embedding(values: np.ndarray) -> None:
 def _observations(values) -> np.ndarray:
     """values as a float N x d observation matrix, every entry +1/2, -1/2 or
     0 (missing); raises ValueError otherwise. A float array comes back as
-    itself, so a caller that keeps it copies first. SampleBatch,
-    ObservationMatrix and fileio.write_observations share this one check."""
+    itself, so a caller that keeps it copies first. ObservationMatrix (and
+    so SampleBatch) and fileio.write_observations share this one check."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"values must be a 2-d array, got shape {values.shape}")

@@ -2,8 +2,8 @@
 checked at every public boundary and nowhere else.
 
 sample_mixture and mask build batches that are valid by construction and do
-not check them; ObservationMatrix.from_samples wraps a batch's values
-unchecked, since a batch owns frozen arrays that no caller can write to.
+not check them, and a batch is the ObservationMatrix that the pipeline
+denoises, since it owns frozen arrays that no caller can write to.
 """
 
 import numpy as np
@@ -41,7 +41,13 @@ def _spec(n=12, k=2):
 @pytest.mark.parametrize("p", (0.5, 1.0))
 def test_run_pipeline_checks_the_matrix_once(checks, p):
     run_pipeline(_spec(), N=60, p=p, seed=3)
-    assert checks == []  # built by sample_mixture and mask, wrapped by from_samples: none is a boundary
+    assert checks == []  # built by sample_mixture and mask, denoised as it is: none is a boundary
+
+
+def test_a_batch_is_the_observation_matrix_the_pipeline_denoises():
+    batch = mask(sample_mixture(_spec(), 40, 5), 0.6, 5)
+    assert isinstance(batch, ObservationMatrix)
+    assert run_pipeline_samples(batch).obs is batch
 
 
 def test_an_exp2_sweep_checks_each_cell_once(checks, tmp_path):

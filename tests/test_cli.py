@@ -73,6 +73,21 @@ def test_console_script_installed(tmp_path):
     assert "generate" in proc.stdout
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # src/rankmix/__main__.py: exit codes and the error line come through
+    env = dict(os.environ, PYTHONPATH=str(Path(rankmix.__file__).parent.parent))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "rankmix", *argv], capture_output=True, text=True, cwd=tmp_path, env=env
+        )
+
+    assert run("--help").returncode == 0
+    proc = run("denoise", "--in", str(tmp_path / "missing.txt"), "--auto", "--out", str(tmp_path / "x"))
+    assert proc.returncode == 1
+    assert "rankmix: error:" in proc.stderr
+
+
 def test_package_and_project_versions_agree():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:

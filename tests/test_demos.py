@@ -1,8 +1,10 @@
 """Every narrated demo under demos/, README's Python blocks and its
-command-line chain run to completion against this package, and every
-public name has a caller in the package or the demos."""
+command-line chain run to completion against this package, every public
+name has a caller in the package or the demos, and every field of a public
+dataclass has a reader in the package, the demos or the benchmark."""
 
 import ast
+import dataclasses
 import os
 import re
 import shlex
@@ -88,3 +90,24 @@ def test_every_public_name_has_a_caller():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(set(rankmix.__all__) - used) == []
+
+
+def test_every_public_field_has_a_reader():
+    # a field nothing reads is a result nobody uses; reads are attribute
+    # accesses (x.field), matched by name only, so this is a lower bound
+    sources = [*(ROOT / "src" / "rankmix").glob("*.py"), *DEMOS, *(ROOT / "perfbench").glob("*.py")]
+    read = {
+        node.attr
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+    }
+    classes = [getattr(rankmix, name) for name in rankmix.__all__]
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in classes
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        for field in dataclasses.fields(cls)
+        if field.name not in read
+    ]
+    assert unread == []

@@ -596,8 +596,6 @@ def test_spectral_gap_check_clean_case_passes():
     report = spectral_gap_check(obs, y, t1, tau_star=0.0, true_p=1.0)
     assert report.noise_norm <= 1e-8
     assert report.rank == 2
-    assert report.p_exceeds_threshold
-    assert report.t1_proper
     assert report.rank_preservation_predicted
 
 
@@ -607,10 +605,22 @@ def test_spectral_gap_check_reports_failure_without_raising():
     obs = ObservationMatrix.from_dense(y)
     m = np.outer(np.ones(50), np.full(45, 1e-6))
     report = spectral_gap_check(obs, m, t1=5.0, tau_star=3.0, true_p=1.0)
-    assert not report.p_exceeds_threshold
     assert not report.rank_preservation_predicted
-    scaled = spectral_gap_check(obs, m, t1=5.0, tau_star=3.0, true_p=1.0, C=2.0)
-    assert scaled.delta == 2.0 * report.delta
+
+
+@pytest.mark.parametrize(
+    "values, means, match",
+    [
+        # a 1 x d mean matrix would broadcast against the N x d observations
+        (np.full((6, 6), 0.5), np.full((1, 6), 0.25), r"mean_matrix is \(1, 6\), the observations are \(6, 6\)"),
+        # d = 5 pairs is no item count (rounding would take it as n = 4)
+        (np.full((6, 5), 0.5), np.full((6, 5), 0.25), r"observations are \(6, 5\): d = 5 is not n\(n-1\)/2"),
+    ],
+    ids=["broadcast_mean_row", "d_not_a_pair_count"],
+)
+def test_spectral_gap_check_refuses_a_mismatched_mean_matrix(values, means, match):
+    with pytest.raises(ValueError, match=match):
+        spectral_gap_check(ObservationMatrix(values), means, t1=1.0, tau_star=1.0, true_p=1.0)
 
 
 def test_noise_norm_within_calibrated_delta():

@@ -107,13 +107,6 @@ def test_diagnostics_fields():
     assert diag["k_hat"] == result.clustering.k_hat
 
 
-def test_gamma_reported_for_multi_component():
-    spec = _gaussian_mixture(3, 10, 0.3, 13)
-    result = run_pipeline(spec, N=120, p=1.0, seed=13)
-    assert result.evaluation.gamma is not None
-    assert result.evaluation.gamma > 0
-
-
 def test_invalid_p_tagged_with_stage():
     spec = _gaussian_mixture(2, 8, 0.3, 1)
     with pytest.raises(PipelineError) as err:
@@ -124,9 +117,8 @@ def test_invalid_p_tagged_with_stage():
 def test_run_on_premade_samples():
     spec = _gaussian_mixture(2, 12, 0.3, 21)
     samples = mask(sample_mixture(spec, 120, 21), 0.9, 21)
-    result = run_pipeline_samples(samples, exact_means=None)
+    result = run_pipeline_samples(samples)
     assert result.evaluation.risk <= 0.05
-    assert result.evaluation.gamma is None
 
 
 @settings(max_examples=20, deadline=None)

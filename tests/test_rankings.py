@@ -214,13 +214,20 @@ def test_pair_index_against_linear_scan_n100():
 
 
 def test_pair_index_rejects_bad_pairs():
-    for a, b in [(1, 1), (2, 1), (-1, 2), (0, 4)]:
+    # fractional arguments are refused, not computed with: pair_of(1.5, 3) would give (0, 2.5)
+    for a, b in [(1, 1), (2, 1), (-1, 2), (0, 4), (0.5, 1), (0, 1.5)]:
         with pytest.raises(ValueError):
             pair_index(a, b, 4)
     with pytest.raises(ValueError):
         pair_of(6, 4)
     with pytest.raises(ValueError):
         pair_of(-1, 4)
+    with pytest.raises(ValueError):
+        pair_of(1.5, 4)
+    with pytest.raises(ValueError):
+        pair_index(0, 1, 4.5)
+    with pytest.raises(ValueError):
+        pair_of(0, 4.5)
 
 
 def test_embedding_injective_exhaustively_small_n():
