@@ -7,8 +7,9 @@ Every (n, N, p) of the grid is a 3-component Gaussian mixture (sigma 0.3)
 with the same spec and seed on both trees. For each one a repeat measures,
 with time.perf_counter: sample_mixture of the N rows and mask of them at p,
 LAPACK's thin SVD (tests/oracles.py::oracle_thin_svd) of the masked matrix,
-rankmix's compute_svd of it as an ObservationMatrix, and one run_pipeline
-call. compute_svd is called as run_pipeline calls it: for the singular
+rankmix's compute_svd of it as an ObservationMatrix, one run_pipeline
+call, and single_linkage (automatic t2) of that run's N x r coordinates,
+estimate.coords. compute_svd is called as run_pipeline calls it: for the singular
 values the automatic threshold rule reads, on a tree whose estimation
 module has _values_read, and for all of them otherwise. Each
 timed call starts after a PAUSE_S sleep: numpy and scipy may each link
@@ -40,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GRID = ((15, 180, 0.4), (40, 600, 0.5), (40, 1000, 0.3), (50, 2000, 0.6), (100, 2000, 0.3))
 K, SIGMA, SEED = 3, 0.3, 2024
-TIMES = ("sample_mixture_s", "mask_s", "oracle_thin_svd_s", "compute_svd_s", "run_pipeline_s")
+TIMES = ("sample_mixture_s", "mask_s", "oracle_thin_svd_s", "compute_svd_s", "run_pipeline_s", "single_linkage_s")
 OUTCOMES = ("sample_sha256", "mask_sha256", "labels_sha256", "k_hat", "risk")
 PAUSE_S = 0.5
 
@@ -63,6 +64,7 @@ def worker(src: str) -> None:
 
     from oracles import oracle_thin_svd
     from rankmix import estimation
+    from rankmix.clustering import single_linkage
     from rankmix.estimation import ObservationMatrix
     from rankmix.generators import ComponentSpec, MixtureSpec, mask, normal_utilities, sample_mixture
     from rankmix.pipeline import run_pipeline
@@ -99,6 +101,7 @@ def worker(src: str) -> None:
         timed(oracle_thin_svd, obs.values)
         timed(estimation.compute_svd, obs, **top)
         result = timed(run_pipeline, spec, N=N, p=p, seed=SEED)
+        timed(single_linkage, result.estimate.coords)
         labels = np.asarray(result.clustering.labels, dtype=np.int64)
         out[f"{n},{N},{p}"] = dict(
             zip(TIMES, times),

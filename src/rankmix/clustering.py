@@ -10,6 +10,12 @@ condensed distances hold N(N-1)/2 float64 values: 4 MB at N = 1000, about
 tree's sorted edge weights choose it: the midpoint of the largest
 consecutive gap, with a guard that falls back to a single cluster when no gap
 stands out.
+
+The cut reads the tree's merge list directly. Single-linkage merge heights
+are the MST weights in nondecreasing order, so the merges at or below t2 are
+a prefix of the list, and the nodes that prefix joins are exactly the
+components of the MST's edges <= t2, which are the components of the t2
+graph above. Each row's cluster is the root it reaches through the prefix.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
 # fallback returns max MST weight scaled just past 1 so every edge survives
@@ -27,7 +33,7 @@ _GAP_RATIO = 1.5
 _TIE = 32 * np.finfo(float).eps  # gaps this close to the largest, per unit weight, are tied
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusteringResult:
     """Labels plus the thresholding diagnostics that produced them. The
     result holds read-only copies of labels and mst_edge_weights, so the
@@ -78,12 +84,12 @@ def _gap_threshold(w: np.ndarray) -> float:
 def single_linkage(rows, t2: float | None = None) -> ClusteringResult:
     """Cluster rows into components connected by edges of length <= t2.
 
-    One pdist, one single-linkage tree and one fcluster cut at t2; memory is
-    the N(N-1)/2 condensed distances (see the module docstring). With t2 None
-    the threshold is chosen from the MST's weight gaps (this needs at least 2
-    rows). Labels are assigned by order of first row appearance: row 0 always
-    gets label 0, and a new label opens each time a row starts an unseen
-    component.
+    One pdist and one single-linkage tree, cut at t2 by keeping the prefix of
+    merges with height <= t2 (see the module docstring); memory is the
+    N(N-1)/2 condensed distances. With t2 None the threshold is chosen from
+    the MST's weight gaps (this needs at least 2 rows). Labels are assigned
+    by order of first row appearance: row 0 always gets label 0, and a new
+    label opens each time a row starts an unseen component.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 1:
@@ -106,7 +112,22 @@ def single_linkage(rows, t2: float | None = None) -> ClusteringResult:
     w = tree[:, 2]  # merge heights are the sorted MST weights
     if t2 is None:
         t2 = _gap_threshold(w)
-    comp = fcluster(tree, t2, criterion="distance")
-    _, first, inverse = np.unique(comp, return_index=True, return_inverse=True)
-    labels = np.argsort(np.argsort(first))[inverse]
-    return ClusteringResult(first.size, labels, float(t2), w)
+    # node N + m is merge m's cluster; pointer jumping takes every row to the
+    # root it reaches through the merges at or below t2
+    kept = int(np.searchsorted(w, t2, side="right"))
+    parent = np.arange(2 * N - 1)
+    parent[tree[:kept, :2].astype(np.intp)] = np.arange(N, N + kept)[:, None]
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            break
+        parent = up
+    root = parent[:N]
+    # a row opens a cluster when it is its root's first row
+    row = np.arange(N)
+    first = np.full(2 * N - 1, N)
+    np.minimum.at(first, root, row)
+    first = first[root]
+    opens = first == row
+    labels = np.cumsum(opens)[first] - 1
+    return ClusteringResult(int(np.count_nonzero(opens)), labels, float(t2), w)

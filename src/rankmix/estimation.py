@@ -51,7 +51,7 @@ _FLOAT32_GRAM_MAX = 2**24
 _NOISE_FLOOR = math.sqrt(np.finfo(float).eps)  # relative to sigma_1; see SvdResult
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationMatrix:
     """N stacked embedded observations: values is +-1/2 at every observed
     cell and exactly 0 at every missing one, so observed == (values != 0).
@@ -101,7 +101,7 @@ class ObservationMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdResult:
     """The leading k singular triples of Y, values nonincreasing: with
     k = min(N, d) the thin SVD, Y = U @ diag(singular_values) @ Vt; with
@@ -133,7 +133,7 @@ class SvdResult:
         return self.Vt.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HsvtEstimate:
     """Denoised, rescaled estimate as rank-r factors, with the thresholding
     bookkeeping: m_hat = left @ Vt / p_hat, left = U_r S_r (not rescaled)."""

@@ -144,7 +144,7 @@ class MixtureSpec:
         return self.components[0].n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch(ObservationMatrix):
     """N embedded, possibly masked rows with their hidden labels: the
     ObservationMatrix of the rows plus one label per row, so the denoiser

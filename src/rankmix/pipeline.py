@@ -47,7 +47,7 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineResult:
     """Clustering and evaluation plus the intermediates that produced them.
 

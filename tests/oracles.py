@@ -10,6 +10,8 @@ import itertools
 import math
 
 import numpy as np
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import pdist
 
 
 def positions_of(order):
@@ -121,6 +123,15 @@ def oracle_epsilon_graph_labels(rows, t2):
                     stack.append(w)
         next_label += 1
     return labels
+
+
+def oracle_fcluster_labels(rows, t2):
+    """scipy's single-linkage tree cut by fcluster at distance t2, relabelled
+    by order of first row appearance: the reference for single_linkage's own
+    cut of the tree's merge list."""
+    comp = fcluster(linkage(pdist(np.asarray(rows, dtype=float)), method="single"), t2, criterion="distance")
+    first = {}
+    return [first.setdefault(c, len(first)) for c in comp.tolist()]
 
 
 def oracle_risk_exhaustive(predicted, truth):

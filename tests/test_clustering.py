@@ -1,8 +1,8 @@
 """Tests for single-linkage clustering and its automatic t2 choice.
 
-Expected labelings come from an independent epsilon-graph BFS oracle
-(tests/oracles.py); threshold examples are worked by hand from sorted MST
-edge weights.
+Expected labelings come from an independent epsilon-graph BFS oracle and
+from scipy's fcluster cut of the same tree (tests/oracles.py); threshold
+examples are worked by hand from sorted MST edge weights.
 """
 
 import numpy as np
@@ -18,7 +18,12 @@ from rankmix.fileio import write_matrix
 from rankmix.generators import ComponentSpec, MixtureSpec, normal_utilities
 from rankmix.pipeline import run_pipeline
 
-from oracles import oracle_epsilon_graph_labels, oracle_mst_cut_labels, oracle_prim_full_scan
+from oracles import (
+    oracle_epsilon_graph_labels,
+    oracle_fcluster_labels,
+    oracle_mst_cut_labels,
+    oracle_prim_full_scan,
+)
 
 
 def _two_blobs(rng, n_per, dim, spread, gap):
@@ -265,6 +270,41 @@ def test_auto_t2_labels_equal_epsilon_graph(rows):
     res = single_linkage(rows)
     assert list(res.labels) == oracle_epsilon_graph_labels(rows, res.threshold_used)
     assert (res.k_hat == 1) == bool(res.threshold_used > res.mst_edge_weights.max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        float,
+        st.tuples(st.integers(2, 40), st.integers(0, 4)),
+        elements=st.integers(0, 3).map(float),  # a small grid: duplicate rows and tied heights
+    ),
+    st.data(),
+)
+def test_merge_list_cut_equals_fcluster(rows, data):
+    w = single_linkage(rows, np.inf).mst_edge_weights
+    t2 = data.draw(
+        st.sampled_from([0.0, *w, *(w[:-1] + w[1:]) / 2, w[-1] + 1.0, np.inf, None]),
+        label="t2",
+    )
+    res = single_linkage(rows, t2)
+    ref = oracle_fcluster_labels(rows, res.threshold_used)
+    assert list(res.labels) == ref
+    assert res.k_hat == max(ref) + 1
+
+
+def test_merge_list_cut_of_a_chain():
+    # points 2^i - 1 on a line: merge m joins row m + 1 at height 2^m to the
+    # cluster of merge m - 1, so the tree is a path of depth N - 1, the most
+    # passes pointer jumping can need
+    N = 40
+    rows = (2.0 ** np.arange(N) - 1.0)[:, None]
+    expected_k = {0.0: N, 1.0: N - 1, 2.0**20: N - 21, 2.0 ** (N - 3): 2, 2.0 ** (N - 2): 1, np.inf: 1}
+    for t2, k in expected_k.items():
+        res = single_linkage(rows, t2)
+        assert res.k_hat == k
+        assert list(res.labels) == oracle_fcluster_labels(rows, t2)
+    assert single_linkage(rows, 2.0 ** (N - 3)).labels.tolist() == [0] * (N - 1) + [1]
 
 
 def _rows_of_kind(kind, N, d, seed):

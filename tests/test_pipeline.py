@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmix.estimation import ObservationMatrix, compute_svd
 from rankmix.generators import ComponentSpec, MixtureSpec, SampleBatch, mask, normal_utilities, sample_mixture
 from rankmix.pipeline import PipelineError, PipelineResult, run_pipeline, run_pipeline_samples
 from rankmix.seeding import substream
@@ -16,6 +17,27 @@ def _gaussian_mixture(k, n, sigma, seed):
         for i in range(k)
     ]
     return MixtureSpec(comps, np.full(k, 1.0 / k))
+
+
+def test_result_types_compare_by_identity():
+    # their fields are arrays, so field-wise == would ask an array for a truth
+    # value; two equal results are still two objects
+    spec = _gaussian_mixture(2, 6, 0.3, 0)
+    first, second = run_pipeline(spec, N=20, p=0.8, seed=1), run_pipeline(spec, N=20, p=0.8, seed=1)
+    values = first.obs.values
+    pairs = {
+        "ObservationMatrix": (ObservationMatrix(values), ObservationMatrix(values)),
+        "SampleBatch": (sample_mixture(spec, 20, 1), sample_mixture(spec, 20, 1)),
+        "SvdResult": (compute_svd(np.eye(3)), compute_svd(np.eye(3))),
+        "HsvtEstimate": (first.estimate, second.estimate),
+        "ClusteringResult": (first.clustering, second.clustering),
+        "PipelineResult": (first, second),
+    }
+    for name, (x, y) in pairs.items():
+        assert type(x).__name__ == name
+        assert x is not y and x != y and not x == y, name
+        assert x == x and hash(x) == hash(x), name
+        assert len({x, y}) == 2, name
 
 
 def test_single_component_risk_stays_small():
