@@ -11,10 +11,13 @@ rankmix's compute_svd of it as an ObservationMatrix, one run_pipeline
 call, and single_linkage (automatic t2) of that run's N x r coordinates,
 estimate.coords. compute_svd is called as run_pipeline calls it: for the singular
 values the automatic threshold rule reads, on a tree whose estimation
-module has _values_read, and for all of them otherwise. Each
-timed call starts after a PAUSE_S sleep: numpy and scipy may each link
-their own OpenBLAS, whose worker threads spin for a while after a call, and
-a call timed right after one on the other library would pay for that spin.
+module has _values_read, and for all of them otherwise. Each column is
+the median of CALLS back-to-back calls, which drops an odd slow call, such
+as a first call that pays for waking up after the sleep; a machine whose
+speed level holds for seconds still moves a whole column. Each column
+starts after one PAUSE_S sleep: numpy and scipy may each link their
+own OpenBLAS, whose worker threads spin for a while after a call, and a
+column timed right after one on the other library would pay for that spin.
 Each repeat runs in a fresh process per tree, after one untimed warm-up
 pipeline run, and the tree that runs first alternates between repeats.
 The base tree's src/ is extracted with `git archive`. The script fails
@@ -44,6 +47,7 @@ K, SIGMA, SEED = 3, 0.3, 2024
 TIMES = ("sample_mixture_s", "mask_s", "oracle_thin_svd_s", "compute_svd_s", "run_pipeline_s", "single_linkage_s")
 OUTCOMES = ("sample_sha256", "mask_sha256", "labels_sha256", "k_hat", "risk")
 PAUSE_S = 0.5
+CALLS = 5
 
 
 def _git(*args) -> str:
@@ -83,9 +87,12 @@ def worker(src: str) -> None:
 
     def timed(fn, *args, **kwargs):
         time.sleep(PAUSE_S)
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        times.append(time.perf_counter() - start)
+        calls = []
+        for _ in range(CALLS):
+            start = time.perf_counter()
+            result = fn(*args, **kwargs)
+            calls.append(time.perf_counter() - start)
+        times.append(statistics.median(calls))
         return result
 
     def sha256(array):
@@ -165,7 +172,8 @@ def main(argv=None) -> int:
         return f"{dep.get('name')} {dep.get('version')}"
 
     report = {
-        "what": f"median wall seconds over {args.repeats} repeats; inputs: {K}-component Gaussian "
+        "what": f"median wall seconds over {args.repeats} repeats of the median of {CALLS} back-to-back "
+                f"calls; inputs: {K}-component Gaussian "
                 f"mixture, sigma {SIGMA}, seed {SEED}; sampled and masked values, labels, k_hat and "
                 "risk equal on both trees; compute_svd_s is the call run_pipeline makes (auto "
                 "threshold rule, no rank hint)",

@@ -26,6 +26,8 @@ import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
+from .rankings import _own
+
 # fallback returns max MST weight scaled just past 1 so every edge survives
 _FALLBACK_MARGIN = 1e-9
 # a gap must beat this ratio (upper/lower weight) to count as a cluster split
@@ -35,9 +37,9 @@ _TIE = 32 * np.finfo(float).eps  # gaps this close to the largest, per unit weig
 
 @dataclass(frozen=True, eq=False)
 class ClusteringResult:
-    """Labels plus the thresholding diagnostics that produced them. The
-    result holds read-only copies of labels and mst_edge_weights, so the
-    caller's arrays stay writable and later writes to them do not reach it."""
+    """Labels plus the thresholding diagnostics that produced them, which the
+    result holds read-only: the constructor's are copies of the caller's
+    arrays, which stay writable; single_linkage's are its own, uncopied."""
 
     k_hat: int
     labels: np.ndarray
@@ -45,10 +47,8 @@ class ClusteringResult:
     mst_edge_weights: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("labels", int), ("mst_edge_weights", float)):
-            frozen = np.array(getattr(self, name), dtype=dtype)
-            frozen.setflags(write=False)
-            object.__setattr__(self, name, frozen)
+        labels, weights = np.array(self.labels, dtype=int), np.array(self.mst_edge_weights, dtype=float)
+        _own(self, labels=labels, mst_edge_weights=weights)
 
 
 def _gap_threshold(w: np.ndarray) -> float:
@@ -130,4 +130,5 @@ def single_linkage(rows, t2: float | None = None) -> ClusteringResult:
     first = first[root]
     opens = first == row
     labels = np.cumsum(opens)[first] - 1
-    return ClusteringResult(int(np.count_nonzero(opens)), labels, float(t2), w)
+    return _own(ClusteringResult, k_hat=int(np.count_nonzero(opens)), labels=labels, threshold_used=float(t2),
+                mst_edge_weights=w)

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.blas import dgemm, dsyrk, ssyrk
 
-from .rankings import _integer_values, _observations
+from .rankings import _frozen, _integer_values, _observations, _own
 
 _FLOAT32_GRAM_MAX = 2**24
 _NOISE_FLOOR = math.sqrt(np.finfo(float).eps)  # relative to sigma_1; see SvdResult
@@ -62,20 +62,7 @@ class ObservationMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        self._freeze(values=_observations(np.array(self.values, dtype=float)))
-
-    @classmethod
-    def _built(cls, values) -> "ObservationMatrix":
-        """A matrix of checked values that no caller can write to: frozen in
-        place, unchecked and uncopied."""
-        obs = object.__new__(cls)
-        obs._freeze(values=values)
-        return obs
-
-    def _freeze(self, **arrays) -> None:
-        for name, array in arrays.items():
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        _own(self, values=_observations(np.array(self.values, dtype=float)))
 
     @classmethod
     def from_dense(cls, values) -> "ObservationMatrix":
@@ -84,13 +71,13 @@ class ObservationMatrix:
         values = np.asarray(values, dtype=float)
         if (values == 0.0).any():
             raise ValueError("a dense observation matrix marks missing entries with NaN, not 0")
-        return cls._built(_observations(np.where(np.isnan(values), 0.0, values)))
+        return _own(cls, values=_observations(np.where(np.isnan(values), 0.0, values)))
 
     @classmethod
     def from_samples(cls, batch) -> "ObservationMatrix":
         """A SampleBatch's values without its labels (a batch is already an
         ObservationMatrix), unchecked and uncopied, as the batch owns them."""
-        return cls._built(batch.values)
+        return _own(cls, values=batch.values)
 
     @property
     def N(self) -> int:
@@ -124,6 +111,10 @@ class SvdResult:
     U: np.ndarray
     Vt: np.ndarray
 
+    def __post_init__(self):
+        s, U, Vt = (np.array(a, dtype=float) for a in (self.singular_values, self.U, self.Vt))
+        _own(self, singular_values=s, U=U, Vt=Vt)
+
     @property
     def N(self) -> int:
         return self.U.shape[0]
@@ -136,13 +127,17 @@ class SvdResult:
 @dataclass(frozen=True, eq=False)
 class HsvtEstimate:
     """Denoised, rescaled estimate as rank-r factors, with the thresholding
-    bookkeeping: m_hat = left @ Vt / p_hat, left = U_r S_r (not rescaled)."""
+    bookkeeping: m_hat = left @ Vt / p_hat, left = U_r S_r (not rescaled).
+    left, Vt and m_hat are read-only, so m_hat never disagrees with coords."""
 
     left: np.ndarray
     Vt: np.ndarray
     kept_rank: int
     threshold_used: float
     p_hat: float
+
+    def __post_init__(self):
+        _own(self, left=np.array(self.left, dtype=float), Vt=np.array(self.Vt, dtype=float))
 
     @property
     def coords(self) -> np.ndarray:
@@ -158,7 +153,7 @@ class HsvtEstimate:
         reach it uncopied. The division by p_hat follows the product."""
         m_hat = dgemm(1.0, self.Vt.T, self.left, trans_b=1).T
         m_hat /= self.p_hat
-        return m_hat
+        return _frozen(m_hat)
 
 
 def _as_matrix(y) -> np.ndarray:
@@ -246,7 +241,8 @@ def compute_svd(y, top: int | None = None) -> SvdResult:
     zero = np.logical_or.accumulate((s <= floor) | (np.linalg.norm(w, axis=0) <= floor))
     s[zero] = w[:, zero] = 0.0
     np.divide(w, s, out=w, where=~zero)
-    return SvdResult(s, v, w.T) if wide else SvdResult(s, w, v.T)
+    U, Vt = (v, w.T) if wide else (w, v.T)
+    return _own(SvdResult, singular_values=s, U=U, Vt=Vt)
 
 
 def hsvt(y, threshold: float, svd: SvdResult | None = None) -> HsvtEstimate:
@@ -272,7 +268,8 @@ def hsvt(y, threshold: float, svd: SvdResult | None = None) -> HsvtEstimate:
         )
     kept = s > threshold
     kept_rank = int(np.count_nonzero(kept))
-    return HsvtEstimate(svd.U[:, kept] * s[kept], svd.Vt[kept], kept_rank, float(threshold), p_hat)
+    return _own(HsvtEstimate, left=svd.U[:, kept] * s[kept], Vt=svd.Vt[kept], kept_rank=kept_rank,
+                threshold_used=float(threshold), p_hat=p_hat)
 
 
 def _values_read(N: int, d: int, target_rank=None) -> int:

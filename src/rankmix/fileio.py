@@ -19,8 +19,9 @@ Three small formats, all line-oriented ASCII:
   .meta sidecars), ``#`` comments and blank lines ignored.
 
 Floats are written with repr, so numeric round-trips are exact. A value
-that does not parse is reported with the file's path and the row (matrices),
-the line (labels) or the key (key=value files).
+that does not parse, or that holds '_' or a non-ASCII character (which
+int() and float() would read, '1_0' as 10), is reported with the file's
+path and the row (matrices), the line (labels) or the key (key=value files).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .estimation import ObservationMatrix
 from .generators import GAUSSIAN, MALLOWS, MNL, ComponentSpec, MixtureSpec
-from .rankings import Permutation, _integer_values, _observations
+from .rankings import Permutation, _integer_values, _observations, _own
 
 _NOISE_KEY = {MNL: "beta", GAUSSIAN: "sigma", MALLOWS: "phi"}
 
@@ -151,14 +152,15 @@ def _decode_rows(body: np.ndarray, N: int, d: int) -> np.ndarray | None:
 def read_observations(path) -> ObservationMatrix:
     """Read an observation matrix file as an ObservationMatrix, 0 where the
     file has NA. A file that is byte for byte what write_observations
-    writes is decoded through its token table; any other file is read by
-    read_matrix, with its errors, and an entry other than -0.5, 0.5 or NA is
-    reported with the path and the row. Either check is the file's one
-    check: the matrix owns the array it checked, uncopied and unchecked."""
+    writes is decoded through its token table; any other file is read as
+    read_matrix reads it, with its errors, and an entry other than -0.5, 0.5
+    or NA is reported with the path and the row, ahead of read_matrix's
+    refusal of a row with '_' or a non-ASCII character. Either check is the
+    file's one check: the matrix owns the array it checked, uncopied."""
     with open(path, "rb") as fh:
         values = _decode_observations(fh.read())
     if values is None:
-        values = read_matrix(path)
+        values, rows = _matrix_rows(path)
         observed = np.isin(values, (-0.5, 0.5))
         invalid = ~observed & ~np.isnan(values)
         if invalid.any():
@@ -166,18 +168,47 @@ def read_observations(path) -> ObservationMatrix:
             problem = ("a missing entry is written NA, not 0" if values[i, j] == 0.0
                        else "every entry must be exactly +1/2 or -1/2, or NA where missing")
             raise ValueError(f"{path}: row {i}: {problem}")
+        _check_rows_written(path, rows)
         values = np.where(observed, values, 0.0)
-    return ObservationMatrix._built(values)
+    return _own(ObservationMatrix, values=values)
+
+
+def _written(text: str) -> str:
+    """text, or a ValueError where it holds '_' or a non-ASCII character:
+    int() and float() read both ('1_0' as 10, a non-ASCII digit as its ASCII
+    one), and no writer here writes either. The readers check every label
+    line, matrix row and key=value value with it, before or after parsing."""
+    if "_" in text or not text.isascii():
+        raise ValueError("numbers are written in ASCII digits, without '_'")
+    return text
+
+
+def _check_rows_written(path, rows) -> None:
+    """_written of each row line, whole: one scan per row, not per entry."""
+    for i, line in enumerate(rows):
+        try:
+            _written(line)
+        except ValueError as err:
+            raise ValueError(f"{path}: row {i}: {err}") from None
 
 
 def read_matrix(path) -> np.ndarray:
+    values, rows = _matrix_rows(path)
+    _check_rows_written(path, rows)
+    return values
+
+
+def _matrix_rows(path) -> tuple[np.ndarray, list[str]]:
+    """The matrix in the file at path and its row lines, with every check of
+    read_matrix made but _check_rows_written's, which read_observations
+    makes after its own."""
     with open(path) as fh:
         stripped = [line.strip() for line in fh]
     lines = [line for line in stripped if line]
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
     header = lines[0].split()
-    if len(header) != 2 or not all(size.isdecimal() for size in header):
+    if len(header) != 2 or not all(size.isascii() and size.isdecimal() for size in header):
         raise ValueError(f"{path}: header must be 'N d', two non-negative integers, got {lines[0]!r}")
     N, d = int(header[0]), int(header[1])
     # blank lines are skipped, except that each row of an N x 0 matrix is one
@@ -195,7 +226,7 @@ def read_matrix(path) -> np.ndarray:
             raise ValueError(f"{path}: row {i}: {err}") from None
         if np.count_nonzero(~np.isfinite(out[i])) != toks.count("NA"):
             raise ValueError(f"{path}: row {i} has a non-finite entry; only NA marks a missing value")
-    return out
+    return out, rows
 
 
 def write_labels(path, labels) -> None:
@@ -211,7 +242,7 @@ def read_labels(path) -> np.ndarray:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    labels.append(int(line))
+                    labels.append(int(_written(line)))
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: expected an integer label, got {line.strip()!r}") from None
     return np.array(labels, dtype=int)
@@ -277,7 +308,7 @@ def _list_of(convert, sep: str | None = ","):
 def _parsed(path, key: str, text: str, convert):
     """convert(text), raising a ValueError that names the file and the key."""
     try:
-        return convert(text)
+        return convert(_written(text))
     except ValueError as err:
         raise ValueError(f"{path}: cannot parse {key}={text!r}: {err}") from None
 

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .estimation import ObservationMatrix
-from .rankings import Permutation, _pairs, embed_positions
+from .rankings import Permutation, _own, _pairs, embed_positions
 from .rankings import embed  # noqa: F401 -- perfbench/spans.py wraps generators.embed, so it stays bound
 from .seeding import TAG_LABELS, TAG_MASK, TAG_SAMPLE, _keyed_uniforms, _keyed_words, _seed, substream
 
@@ -52,7 +52,7 @@ GAUSSIAN = "gaussian"
 MALLOWS = "mallows"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentSpec:
     """One mixture component: a model family plus its parameters.
 
@@ -85,8 +85,7 @@ class ComponentSpec:
                 raise ValueError("utilities must be a finite vector of length >= 2")
             if not 0.0 < self.noise < math.inf:
                 raise ValueError("noise scale must be finite and strictly positive")
-            u.setflags(write=False)
-            object.__setattr__(self, "utilities", u)
+            _own(self, utilities=u)
 
     @classmethod
     def mnl(cls, utilities, beta: float) -> "ComponentSpec":
@@ -111,7 +110,7 @@ class ComponentSpec:
         return self.n * (self.n - 1) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureSpec:
     """k components sharing an item count, plus their mixing weights (held
     as a read-only copy, like a component's utilities)."""
@@ -131,9 +130,7 @@ class MixtureSpec:
             raise ValueError("weights must match the number of components")
         if not np.isfinite(w).all() or (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be finite, nonnegative and sum to 1")
-        w.setflags(write=False)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "weights", w)
+        _own(self, components=components, weights=w)
 
     @property
     def k(self) -> int:
@@ -160,15 +157,7 @@ class SampleBatch(ObservationMatrix):
         labels = np.array(self.labels, dtype=np.int64)
         if labels.shape != (self.N,):
             raise ValueError(f"need (N, d) values with N labels, got shapes {self.values.shape}, {labels.shape}")
-        self._freeze(labels=labels)
-
-    @classmethod
-    def _built(cls, values, labels) -> "SampleBatch":
-        """A batch of arrays that sample_mixture or mask has just made valid
-        and no caller holds: frozen in place, unchecked and uncopied."""
-        batch = super()._built(values)
-        batch._freeze(labels=labels)
-        return batch
+        _own(self, labels=labels)
 
     def __len__(self) -> int:
         return self.N
@@ -239,7 +228,7 @@ def sample_mixture(spec: MixtureSpec, N: int, rng_seed: int) -> SampleBatch:
         component = spec.components[label]
         rows = np.flatnonzero(labels == label)
         position[rows] = _positions(component, _draws(component, uniforms[rows]))
-    return SampleBatch._built(embed_positions(position), labels)  # one embedding pass for all rows
+    return _own(SampleBatch, values=embed_positions(position), labels=labels)  # one embedding pass for all rows
 
 
 def mask(batch: SampleBatch, p: float, rng_seed: int) -> SampleBatch:
@@ -263,7 +252,7 @@ def mask(batch: SampleBatch, p: float, rng_seed: int) -> SampleBatch:
     keep = _keyed_words(rng_seed, TAG_MASK, len(batch), batch.values.shape[1]) < np.uint64(t << 12)
     values = batch.values * keep
     values += 0.0  # -1/2 * False is -0.0; the missing marker is +0.0
-    return SampleBatch._built(values, batch.labels)
+    return _own(SampleBatch, values=values, labels=batch.labels)
 
 
 # ------------------------------------------------------------ exact oracles

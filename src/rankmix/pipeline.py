@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .clustering import ClusteringResult, single_linkage
 from .estimation import (
@@ -27,6 +28,7 @@ from .estimation import (
 )
 from .evaluation import EvaluationReport, misclassification_rate
 from .generators import MixtureSpec, SampleBatch, mask, sample_mixture
+from .rankings import _own
 
 
 class PipelineError(RuntimeError):
@@ -51,16 +53,19 @@ def _stage(name: str):
 class PipelineResult:
     """Clustering and evaluation plus the intermediates that produced them.
 
-    obs is the denoised batch itself. Iterates as the (clustering, evaluation)
-    pair so callers can unpack it.
+    obs is the denoised batch itself; diagnostics is read-only. Iterates as
+    the (clustering, evaluation) pair so callers can unpack it.
     """
 
     clustering: ClusteringResult
     evaluation: EvaluationReport
-    diagnostics: dict
+    diagnostics: MappingProxyType
     obs: ObservationMatrix
     svd: SvdResult
     estimate: HsvtEstimate
+
+    def __post_init__(self):
+        _own(self, diagnostics=MappingProxyType(dict(self.diagnostics)))
 
     def __iter__(self):
         return iter((self.clustering, self.evaluation))

@@ -47,10 +47,7 @@ class Permutation:
             raise ValueError("order must be a bijection on {0,...,n-1}")
         position = np.empty(n, dtype=np.int64)
         position[order] = np.arange(n)
-        order.setflags(write=False)
-        position.setflags(write=False)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "position", position)
+        _own(self, order=order, position=position)
 
     @property
     def n(self) -> int:
@@ -63,6 +60,24 @@ class Permutation:
 
     def __hash__(self):
         return hash(self.order.tobytes())
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """array itself, made read-only in place: the library's one way to freeze."""
+    array.setflags(write=False)
+    return array
+
+
+def _own(owner, **fields):
+    """owner with each field set, every array among them frozen in place: the
+    one way a library value takes the arrays it holds. Constructors pass
+    copies, so their callers' arrays stay writable. Library code passes the
+    arrays it has just made with a class as owner, whose new instance skips
+    the constructor's checks and copies."""
+    obj = object.__new__(owner) if isinstance(owner, type) else owner
+    for name, value in fields.items():
+        object.__setattr__(obj, name, _frozen(value) if isinstance(value, np.ndarray) else value)
+    return obj
 
 
 def _integer_values(values, what: str) -> np.ndarray:
@@ -111,7 +126,7 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         raise ValueError("need at least two items to form a pair")
     first, second = np.triu_indices(n, k=1)  # lexicographic order
-    return _read_only(first), _read_only(second)
+    return _frozen(first), _frozen(second)
 
 
 def embed_positions(position) -> np.ndarray:
@@ -148,19 +163,12 @@ def _observations(values) -> np.ndarray:
     return values
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """A read-only view of array, which itself stays writable."""
-    view = array.view()
-    view.setflags(write=False)
-    return view
-
-
 def embed(perm: Permutation) -> np.ndarray:
     """Embed a permutation as a read-only (d,) float array.
 
     Coordinate (a, b) is +1/2 iff a precedes b.
     """
-    return _read_only(embed_positions(perm.position))
+    return _frozen(embed_positions(perm.position))
 
 
 def kendall_tau(p1: Permutation, p2: Permutation) -> int:

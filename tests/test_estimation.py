@@ -9,7 +9,9 @@ from scipy.spatial.distance import pdist
 
 from rankmix import estimation
 from rankmix.estimation import (
+    HsvtEstimate,
     ObservationMatrix,
+    SvdResult,
     _check_float32_gram,
     _values_read,
     compute_svd,
@@ -95,6 +97,16 @@ def test_observation_matrix_leaves_the_callers_array_writable():
     a[0, 0] = 0.3  # invalid, were it to reach the exact float32 Gram product
     assert obs.values.tolist() == [[0.5, -0.5], [0.0, 0.5]]  # a frozen copy
     assert compute_svd(obs).singular_values.tobytes() == want.singular_values.tobytes()
+
+
+def test_svd_and_estimate_constructors_hold_frozen_copies():
+    s, U, Vt = np.array([2.0, 1.0]), np.eye(2), np.eye(2)
+    svd, estimate = SvdResult(s, U, Vt), HsvtEstimate(U, Vt, 2, 1.5, 1.0)
+    U[0, 0] = Vt[0, 0] = s[0] = 9.0  # the caller's arrays stay writable
+    assert svd.singular_values.tolist() == [2.0, 1.0]
+    assert svd.U.tolist() == svd.Vt.tolist() == estimate.left.tolist() == estimate.Vt.tolist() == np.eye(2).tolist()
+    held = (svd.singular_values, svd.U, svd.Vt, estimate.left, estimate.Vt, estimate.m_hat)
+    assert not any(array.flags.writeable for array in held)
 
 
 # --------------------------------------------------------------------- svd

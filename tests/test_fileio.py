@@ -106,6 +106,38 @@ def test_observations_reader_names_the_file_and_row_of_a_bad_entry(tmp_path, tok
         read_observations(path)
 
 
+def _spec_with_n(text):
+    def write(path):
+        write_mixture_spec(path, MixtureSpec([ComponentSpec.gaussian(np.arange(10.0), 0.5)], [1.0]))
+        path.write_text(path.read_text().replace("n=10\n", f"n={text}\n"), encoding="utf-8")
+    return write
+
+
+# int() and float() read '1_0' as 10 and Arabic-Indic digits (U+0660-0669) as
+# digits; no writer writes either, so every reader refuses them where it
+# would otherwise parse them
+@pytest.mark.parametrize(
+    "reader, contents, where",
+    [(read_labels, "0\n1_0\n", ":2: "),
+     (read_labels, "0\n\u0663\n", ":2: "),
+     (read_matrix, "2 1\n0.5\n1_0\n", ": row 1: "),
+     (read_matrix, "1 2\n0.5 \u0665\n", ": row 0: "),
+     (read_matrix, "\u0662 1\n0.5\n0.5\n", ": header "),
+     (read_observations, "\u0662 1\n0.5\nNA\n", ": header "),
+     (read_observations, "1 2\n0.5_0 NA\n", ": row 0: "),
+     (read_mixture_spec, _spec_with_n("1_0"), ": cannot parse n="),
+     (read_mixture_spec, _spec_with_n("\u0661\u0660"), ": cannot parse n=")],
+)
+def test_readers_refuse_numerals_the_writers_never_write(tmp_path, reader, contents, where):
+    path = tmp_path / "file.txt"
+    if callable(contents):
+        contents(path)
+    else:
+        path.write_text(contents, encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
+        reader(path)
+
+
 # Each perturbation maps the header, the rows (lists of tokens) and a drawn
 # position k to the file's new bytes, or to None where it does not apply.
 def _join(header, rows, newline=b"\n"):

@@ -25,7 +25,10 @@ def test_result_types_compare_by_identity():
     spec = _gaussian_mixture(2, 6, 0.3, 0)
     first, second = run_pipeline(spec, N=20, p=0.8, seed=1), run_pipeline(spec, N=20, p=0.8, seed=1)
     values = first.obs.values
+    component = ComponentSpec.gaussian(normal_utilities(5, 0), 0.3)
     pairs = {
+        "ComponentSpec": (component, ComponentSpec.gaussian(normal_utilities(5, 0), 0.3)),
+        "MixtureSpec": (MixtureSpec([component], [1.0]), MixtureSpec([component], [1.0])),
         "ObservationMatrix": (ObservationMatrix(values), ObservationMatrix(values)),
         "SampleBatch": (sample_mixture(spec, 20, 1), sample_mixture(spec, 20, 1)),
         "SvdResult": (compute_svd(np.eye(3)), compute_svd(np.eye(3))),
@@ -38,6 +41,32 @@ def test_result_types_compare_by_identity():
         assert x is not y and x != y and not x == y, name
         assert x == x and hash(x) == hash(x), name
         assert len({x, y}) == 2, name
+
+
+def test_a_result_owns_every_array_it_holds_read_only():
+    # a write to a factor would leave the cached m_hat and the coordinates
+    # disagreeing, with no error raised
+    result = run_pipeline(_gaussian_mixture(2, 6, 0.3, 0), N=20, p=0.8, seed=1)
+    arrays = {
+        "obs.values": result.obs.values,
+        "obs.labels": result.obs.labels,
+        "svd.U": result.svd.U,
+        "svd.Vt": result.svd.Vt,
+        "svd.singular_values": result.svd.singular_values,
+        "estimate.left": result.estimate.left,
+        "estimate.Vt": result.estimate.Vt,
+        "estimate.m_hat": result.estimate.m_hat,
+        "clustering.labels": result.clustering.labels,
+        "clustering.mst_edge_weights": result.clustering.mst_edge_weights,
+    }
+    for name, array in arrays.items():
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 1
+        assert np.array_equal(array, before), name
+    with pytest.raises(TypeError):
+        result.diagnostics["t2"] = 0.0
+    assert result.diagnostics["t2"] == result.clustering.threshold_used
 
 
 def test_single_component_risk_stays_small():
