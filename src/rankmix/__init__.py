@@ -113,4 +113,4 @@ __all__ = [
     "write_mixture_spec",
 ]
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -21,6 +21,7 @@ so its files do not depend on OPENBLAS_NUM_THREADS.
 
 import argparse
 import ctypes
+import functools
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -67,7 +68,7 @@ def _one_blas_thread():
     """Run scipy's BLAS and LAPACK calls on one thread, then restore the count.
 
     A CLI denoise of a 600 x 780 observation file spends most of its time in
-    compute_svd. A second OpenBLAS thread saves about a tenth of that on an
+    the SVD. A second OpenBLAS thread saves about a tenth of that on an
     idle machine, but its worker spins after every call and each parallel
     call waits for it: on 2 cores with one other busy thread, the denoise
     took 140 ms on two BLAS threads and 50 ms on one, and two CLI chains run
@@ -227,8 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: building it costs about a millisecond,
+    and a process that runs several commands (the CLI benchmark workload
+    makes four main calls per operation) need not pay it for each."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, PipelineError) as err:

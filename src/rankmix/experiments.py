@@ -228,7 +228,10 @@ def _run_exp1(cfg: ExperimentConfig, out: Path) -> list[str]:
                         same = 1 if truth[i] == truth[j] else 0
                         yield float(noise), i, j, same, float(sq_before[idx]), float(sq_after[idx])
                         idx += 1
-                pcs = est.coords @ (est.Vt @ result.svd.Vt[:2].T)  # m_hat @ Vt[:2].T, factored
+                # m_hat's projection on the top two right singular vectors: est.Vt has
+                # orthonormal rows, so it is the first two coordinates, 0 past the kept rank
+                pcs = np.zeros((N, 2))
+                pcs[:, :min(est.kept_rank, 2)] = est.coords[:, :2]
                 for i in range(N):
                     proj_rows.append((float(noise), i, truth[i], float(pcs[i, 0]), float(pcs[i, 1])))
 

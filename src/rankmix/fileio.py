@@ -62,14 +62,14 @@ def write_matrix(path, values) -> None:
 # The one token table of observation files. Code c = 2 * value + 1 is read as
 # _OBSERVATION_VALUES[c] and written as _WRITTEN_TOKENS[c], token c of
 # (repr(-0.5), missing, repr(0.5)) and a space, or as code c + 3, the token and
-# a newline, at the end of a row. _TOKEN_BYTES pads them to one width and
-# _TOKEN_MASK marks their bytes. Tokens differ in their first byte, which gives
-# the code (255: no token). Rows go _DECODE_BLOCK entries at a time.
+# a newline, at the end of a row. _TOKEN_WORDS holds each token NUL-padded to
+# 8 bytes as one uint64 (no token holds a NUL). Tokens differ in their first
+# byte, which gives the code (255: no token). Rows go _DECODE_BLOCK entries at
+# a time, which keeps every temporary small (np.compress makes an int64 index
+# per byte it keeps).
 _OBSERVATION_VALUES = np.array([-0.5, 0.0, 0.5])
 _WRITTEN_TOKENS = [token + sep for sep in (b" ", b"\n") for token in (b"-0.5", b"NA", b"0.5")]
-_TOKEN_WIDTH = max(map(len, _WRITTEN_TOKENS))
-_TOKEN_BYTES = np.array([list(t.ljust(_TOKEN_WIDTH, b"\0")) for t in _WRITTEN_TOKENS], dtype=np.uint8)
-_TOKEN_MASK = np.arange(_TOKEN_WIDTH) < np.array([[len(t)] for t in _WRITTEN_TOKENS])
+_TOKEN_WORDS = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in _WRITTEN_TOKENS), dtype=np.uint64)
 _CODE_OF_FIRST_BYTE = np.full(256, 255, dtype=np.uint8)
 _CODE_OF_FIRST_BYTE[[t[0] for t in _WRITTEN_TOKENS[:3]]] = range(3)
 _DECODE_BLOCK = 1 << 14
@@ -77,11 +77,12 @@ _DECODE_BLOCK = 1 << 14
 
 def _encode_rows(codes: np.ndarray) -> np.ndarray:
     """The uint8 bytes of the rows of an N x d array of codes, d > 0: the
-    body that write_observations writes and _decode_rows checks."""
-    row_end = np.zeros(codes.shape[1], dtype=np.intp)
+    body that write_observations writes and _decode_rows checks. Each code
+    takes its padded token word, and the words' bytes lose their NULs."""
+    row_end = np.zeros(codes.shape[1], dtype=np.uint8)
     row_end[-1] = len(_OBSERVATION_VALUES)
-    tokens = codes + row_end
-    return np.compress(_TOKEN_MASK.take(tokens, axis=0).ravel(), _TOKEN_BYTES.take(tokens, axis=0))
+    padded = _TOKEN_WORDS.take(codes + row_end).view(np.uint8)
+    return np.compress((padded != 0).ravel(), padded)
 
 
 def write_observations(path, values) -> None:
@@ -98,7 +99,7 @@ def write_observations(path, values) -> None:
             return
         step = max(1, _DECODE_BLOCK // d)
         for first in range(0, N, step):
-            codes = (values[first:first + step] * 2.0 + 1.0).astype(np.intp)
+            codes = (values[first:first + step] * 2.0 + 1.0).astype(np.uint8)
             fh.write(_encode_rows(codes))
 
 

@@ -16,13 +16,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
 
+import numpy as np
+
 from .clustering import ClusteringResult, single_linkage
 from .estimation import (
     HsvtEstimate,
     ObservationMatrix,
     SvdResult,
+    _GramSpectrum,
     _values_read,
-    compute_svd,
     hsvt,
     select_threshold,
 )
@@ -74,14 +76,21 @@ class PipelineResult:
 def denoise(obs: ObservationMatrix, rank_hint: int | None = None) -> tuple[SvdResult, HsvtEstimate]:
     """SVD, t1 (from the rank hint, else the spectral gap) and HSVT of obs, as
     run by the pipeline and by CLI denoise. The select_t1 stage counts the
-    values the t1 rule reads (_values_read) before the svd, which holds
-    exactly those, so a refused rank hint fails without an eigensolve."""
+    values the t1 rule reads (_values_read) before the svd, so a refused rank
+    hint fails before the Gram matrix is formed. The svd stage reduces the
+    Gram matrix once and reads every singular value; t1 comes from the ones
+    the rule reads, and only then are the vectors of the components above
+    it computed. The svd returned holds the values read and the vectors of
+    the kept components only."""
     with _stage("select_t1"):
         reads = _values_read(obs.N, obs.d, rank_hint)
     with _stage("svd"):
-        svd = compute_svd(obs, top=reads)
+        spectrum = _GramSpectrum(obs)
+        values = spectrum.svd(reads, 0)
     with _stage("select_t1"):
-        t1 = select_threshold(svd, target_rank=rank_hint)
+        t1 = select_threshold(values, target_rank=rank_hint)
+    with _stage("svd"):
+        svd = spectrum.svd(reads, int(np.count_nonzero(values.singular_values > t1)))
     with _stage("hsvt"):
         estimate = hsvt(obs, t1, svd=svd)
     return svd, estimate

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.linalg import eigh
 from scipy.spatial.distance import pdist
 
 
@@ -269,3 +270,28 @@ def oracle_mst_cut_labels(us, vs, keep):
 def oracle_thin_svd(y):
     """LAPACK's thin SVD, (U, s, Vt) with s nonincreasing."""
     return np.linalg.svd(np.asarray(y, dtype=float), full_matrices=False)
+
+
+def oracle_gram_svd(y):
+    """The thin SVD (s, U, Vt) of y, s nonincreasing, from scipy's eigh of the
+    whole Gram matrix a^T a (a = y, or y^T when y is wide), every eigenvector
+    at once. Numerical zeros are those of rankmix's SvdResult: going down the
+    spectrum, once sigma_j <= sqrt(m eps) sigma_1 or ||a v_j|| is, sigma_j and
+    every later value are 0, each with a zero back-product column."""
+    y = np.asarray(y, dtype=float)
+    wide = y.shape[0] < y.shape[1]
+    a = y.T if wide else y
+    m = a.shape[1]
+    eigenvalues, v = eigh(a.T @ a)
+    s = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
+    v = v[:, ::-1]
+    w = a @ v
+    floor = math.sqrt(m * np.finfo(float).eps) * s[0]
+    zero = False
+    for j in range(m):
+        zero = zero or s[j] <= floor or np.linalg.norm(w[:, j]) <= floor
+        if zero:
+            s[j], w[:, j] = 0.0, 0.0
+        else:
+            w[:, j] /= s[j]
+    return (s, v, w.T) if wide else (s, w, v.T)

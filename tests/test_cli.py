@@ -417,13 +417,13 @@ def test_a_refused_rank_hint_never_reaches_the_eigensolve(tmp_path, capsys, monk
     spec, obs, out = tmp_path / "mix.txt", tmp_path / "obs.txt", tmp_path / "mhat.txt"
     _write_two_component_spec(spec, n=8)
     assert main(["generate", "--spec", str(spec), "--num", "40", "--p", "0.6", "--seed", "1", "--out", str(obs)]) == 0
-    calls, real_eigh = [], estimation.eigh
+    calls, real_dsterf = [], estimation.dsterf
 
     def spy(*args, **kwargs):
         calls.append(args[0].shape)
-        return real_eigh(*args, **kwargs)
+        return real_dsterf(*args, **kwargs)
 
-    monkeypatch.setattr(estimation, "eigh", spy)
+    monkeypatch.setattr(estimation, "dsterf", spy)
     integral = float(hint).is_integer()
     message = f"select_t1: target_rank must lie in [1, 28], got {hint}" if integral else \
         "select_t1: target_rank must be integer values"
@@ -457,13 +457,13 @@ def test_denoise_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkey
     obs.write_text("3 3\n0.5 -0.5 NA\n-0.5 0.5 0.5\n0.5 NA -0.5\n")
     column.write_text("3 1\n0.5\nNA\n-0.5\n")  # one singular value: select_t1 refuses it after the svd
     before = _blas_threads()
-    seen, real_eigh = [], estimation.eigh
+    seen, real_dsterf = [], estimation.dsterf
 
     def spy(*args, **kwargs):
         seen.append(_blas_threads())
-        return real_eigh(*args, **kwargs)
+        return real_dsterf(*args, **kwargs)
 
-    monkeypatch.setattr(estimation, "eigh", spy)
+    monkeypatch.setattr(estimation, "dsterf", spy)
     assert main(["denoise", "--in", str(obs), "--auto", "--out", str(out)]) == 0
     assert main(["denoise", "--in", str(column), "--auto", "--out", str(out)]) == 1
     assert seen == [1, 1] and _blas_threads() == before

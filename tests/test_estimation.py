@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from rankmix import estimation
+from rankmix.clustering import single_linkage
 from rankmix.estimation import (
     HsvtEstimate,
     ObservationMatrix,
@@ -30,9 +31,10 @@ from rankmix.generators import (
     normal_utilities,
     sample_mixture,
 )
+from rankmix.pipeline import PipelineError, denoise
 from rankmix.rankings import Permutation, embed
 
-from oracles import oracle_thin_svd
+from oracles import oracle_gram_svd, oracle_thin_svd
 
 # frozen: 0.8 / (2 ln 9), computed with stdlib math
 K_OF_09 = 0.18204784532536747
@@ -154,11 +156,12 @@ def test_float32_gram_matches_dsyrk_bit_for_bit(shape, kind):
 
 
 def test_hsvt_without_an_svd_takes_the_float32_gram_route(monkeypatch):
-    # observation data has one Gram route: hsvt hands the ObservationMatrix
-    # itself to compute_svd, so float64 dsyrk is never reached
+    # observation data has one Gram route: hsvt reduces the ObservationMatrix
+    # itself, so float64 dsyrk is never reached; the plain array's dsyrk route
+    # forms the same exact Gram matrix, so the two estimates agree bit for bit
     spec = MixtureSpec([ComponentSpec.gaussian(normal_utilities(8, seed), 0.3) for seed in (1, 2)], [0.5, 0.5])
     obs = _stack(mask(sample_mixture(spec, 60, 4), 0.5, 4))
-    want = hsvt(obs, 1.0, svd=compute_svd(obs))
+    want = hsvt(obs.values, 1.0)
 
     def refused(*args, **kwargs):
         raise AssertionError("observation data reached dsyrk")
@@ -337,6 +340,152 @@ def test_top_k_svd_matches_lapack(kind, N, d, seed, data):
         same_cut(best + 1, select_threshold(svd), select_threshold(full))
 
 
+def test_a_top_value_that_splits_off_the_tridiagonal_gets_its_vector():
+    # the Gram matrix of these rows is [[1/4, -1/4, 0], [-1/4, 1/2, 0], [0, 0, 1]]:
+    # its largest eigenvalue is a 1 x 1 block of the tridiagonal, which LAPACK
+    # dstebz's index mode misses (info = 2) when asked for that value alone
+    y = np.array([[0, 0, -0.5], [0, 0, 0.5], [0, 0, -0.5], [0, -0.5, 0], [0, 0, 0.5], [-0.5, 0.5, 0]])
+    obs = ObservationMatrix(y)
+    svd = compute_svd(obs, top=1)
+    assert svd.singular_values.tolist() == [1.0] and np.abs(svd.Vt).tolist() == [[0.0, 0.0, 1.0]]
+    svd, est = denoise(obs, 1)
+    assert est.kept_rank == 1 and np.allclose(est.left @ est.Vt, y * [0, 0, 1], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [219, 304])
+def test_singular_vectors_of_a_sparse_matrix_are_orthonormal(seed):
+    # one observed cell per column: the Gram matrix is block diagonal with repeated
+    # eigenvalues, and its reduction leaves off-diagonal entries at rounding level
+    # between them; unless those split the tridiagonal, inverse iteration returned
+    # vectors 0.19 (seed 219) and 0.48 (seed 304) from orthogonal
+    rng = np.random.default_rng(seed)
+    y = np.zeros((40, 30))
+    y[rng.integers(0, 40, size=30), np.arange(30)] = 0.5
+    svd = compute_svd(ObservationMatrix(y))
+    assert np.abs(svd.Vt @ svd.Vt.T - np.eye(30)).max() <= 1e-12
+    assert np.abs((svd.U * svd.singular_values) @ svd.Vt - y).max() <= 1e-12
+
+
+def _denoise_input(kind, N, d, seed, missing):
+    """A +-1/2 observation matrix with a share `missing` of zeros."""
+    rng = np.random.default_rng(seed)
+    if kind == "tall":
+        N, d = max(N, d), min(N, d)
+    elif kind == "wide":
+        N, d = min(N, d), max(N, d)
+    elif kind == "thin":  # m = 1: one row, or one pair (n = 2 items) per row
+        N, d = (1, d) if seed % 2 else (N, 1)
+    if kind == "block_diagonal":  # a split tridiagonal: copies of a block down the diagonal
+        b = int(rng.integers(2, 4))
+        block = rng.choice([-0.5, 0.5], size=(max(1, N // b), max(1, d // b)))
+        return np.kron(np.eye(b), block)
+    if kind == "kron":  # rank rank(A) rank(B), with tied singular values
+        a = rng.choice([-0.5, 0.5], size=(int(rng.integers(1, 4)), int(rng.integers(1, 4))))
+        b = rng.choice([-1.0, 1.0], size=(max(1, N // len(a)), max(1, d // a.shape[1])))
+        return np.kron(a, b)
+    values = rng.choice([-0.5, 0.5], size=(N, d))
+    if kind in ("low_rank", "duplicate_rows"):  # exactly low rank, or rows repeated
+        distinct = values[: int(rng.integers(1, 4))] if kind == "low_rank" else values
+        values = distinct[rng.integers(0, len(distinct), size=N)]
+    return np.where(rng.random(values.shape) < missing, 0.0, values)
+
+
+def _rank_read(s, reads, hint, err):
+    """The rank the t1 rule picks from values s known to within err (exact
+    zeros exact), or None when the bound leaves the largest ratio open."""
+    if hint is not None:
+        return hint
+    num, den = s[: reads - 1], s[1:reads]
+    last = np.flatnonzero((num > 0) & (den == 0))
+    if last.size:  # the infinite gap after the last nonzero value wins
+        return int(last[0]) + 1
+    with np.errstate(divide="ignore"):
+        lo = np.divide(num - err[: reads - 1], den + err[1:reads], out=np.zeros(num.size), where=den > 0)
+        hi = np.divide(num + err[: reads - 1], np.maximum(den - err[1:reads], 0.0), out=np.zeros(num.size),
+                       where=den > 0)
+    best = int(np.argmax(lo))
+    return best + 1 if lo[best] > np.delete(hi, best).max(initial=0.0) else None
+
+
+def _gap_choice_determined(w, atol):
+    """Whether single_linkage's automatic t2 stays in the same gap of the MST
+    weights w when every weight moves by at most atol: the largest gap beats
+    every other by a margin, and its weight ratio is clear of the 1.5 guard.
+    Rows equal in exact arithmetic lie at rounding distances, so no gap
+    between such distances is determined."""
+    if w.size < 2:
+        return True
+    gaps = np.diff(w)
+    g = int(np.argmax(gaps))
+    margin = 4 * atol + 1e-12 * w[-1]
+    if np.delete(gaps, g).max(initial=-np.inf) >= gaps[g] - margin or w[g + 1] <= margin:
+        return False
+    lo, hi = w[g], w[g + 1]
+    return (hi - atol) / (lo + atol) > 1.5 or (lo > atol and (hi + atol) / (lo - atol) < 1.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["tall", "wide", "thin", "block_diagonal", "kron", "low_rank", "duplicate_rows"]),
+    st.integers(1, 24),
+    st.integers(1, 24),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.3, 0.7]),
+    st.data(),
+)
+def test_denoise_matches_the_eigh_oracle(kind, N, d, seed, missing, data):
+    # pipeline.denoise reads the values from one reduction and the kept vectors
+    # by inverse iteration; the oracle takes every eigenpair from eigh and runs
+    # the same threshold rule and hsvt on the values the rule reads
+    values = _denoise_input(kind, N, d, seed, missing)
+    obs = ObservationMatrix(values)
+    m = min(values.shape)
+    hint = data.draw(st.one_of(st.none(), st.integers(1, m)), label="rank_hint")
+    o, u, vt = oracle_gram_svd(values)
+    reads = _values_read(obs.N, obs.d, hint)
+    oracle = SvdResult(o[:reads], u[:, :reads], vt[:reads])
+    if m == 1:
+        with pytest.raises(PipelineError, match="^select_t1: need at least 2 singular values"):
+            denoise(obs, hint)
+        with pytest.raises(ValueError, match="need at least 2 singular values"):
+            select_threshold(oracle, target_rank=hint)
+        return
+    svd, est = denoise(obs, hint)
+    s = svd.singular_values
+    assert s.size == reads and svd.U.shape == (obs.N, est.kept_rank) and svd.Vt.shape == (est.kept_rank, obs.d)
+    if o[0] == 0:
+        assert not s.any() and est.kept_rank == 0
+        return
+    err = np.where(o == 0, 0.0, _value_error(o))  # zeros are exact: no value lies near the floor
+    assert np.all(np.abs(s - o[:reads]) <= err[:reads])
+    r = _rank_read(o, reads, hint, err)
+    if r is None:  # tied largest ratios: either route may take either
+        return
+    t1, want_t1 = est.threshold_used, select_threshold(oracle, target_rank=hint)
+    t1_err = 1e-14 * want_t1 + (err[r - 1] + (err[r] if r < m else 0.0)) / 2
+    assert abs(t1 - want_t1) <= t1_err
+    if np.any((o[:reads] > 0) & (np.abs(o[:reads] - want_t1) <= err[:reads] + t1_err)):
+        return  # a value at the threshold: either route may keep it
+    ref = hsvt(obs, want_t1, svd=oracle)
+    kept = ref.kept_rank
+    assert est.kept_rank == kept
+    sq, tall = o**2, obs.N >= obs.d
+    for j in range(kept):  # column by column up to sign, wherever sigma_j is separated
+        gap = min(sq[j - 1] - sq[j] if j else np.inf, sq[j] - sq[j + 1] if j + 1 < m else np.inf)
+        tol = 1e-12 + _GRAM_C * sq[0] / gap if gap > 0 else np.inf
+        if tol <= 1e-6:
+            assert _matches_up_to_sign(svd.Vt[j : j + 1].T, vt[j : j + 1].T, tol if tall else 2 * tol * o[0] / o[j])
+            assert _matches_up_to_sign(svd.U[:, j : j + 1], u[:, j : j + 1], 2 * tol * o[0] / o[j] if tall else tol)
+    cut = sq[kept - 1] - sq[kept] if 0 < kept < m else np.inf
+    tol = 1e-10 + _GRAM_C * sq[0] / cut
+    if tol <= 1e-6:  # the kept subspace is determined, and so are the coordinates' distances
+        atol = tol * np.linalg.norm(values) / est.p_hat
+        assert np.allclose(pdist(est.coords), pdist(ref.coords), rtol=0, atol=atol)
+        want = single_linkage(ref.coords)
+        if _gap_choice_determined(want.mst_edge_weights, atol):
+            assert np.array_equal(single_linkage(est.coords).labels, want.labels)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_plain_arrays_rejected(bad):
     y = np.ones((4, 3))
@@ -413,6 +562,19 @@ def test_hsvt_idempotent_rank():
     # same way and rank must be preserved
     again = hsvt(est.m_hat, t1 / est.p_hat)
     assert again.kept_rank == est.kept_rank
+
+
+def test_hsvt_refuses_an_svd_without_the_vectors_of_a_kept_value():
+    y, _, _ = _two_perm_matrix()
+    obs = ObservationMatrix.from_dense(y)
+    full = compute_svd(obs)
+    s = full.singular_values
+    lacking = SvdResult(s, full.U[:, :1], full.Vt[:1])  # every value, the first vector only
+    assert hsvt(obs, (s[0] + s[1]) / 2, svd=lacking).kept_rank == 1
+    with pytest.raises(ValueError, match="keeps 2 components, the svd holds the vectors of 1"):
+        hsvt(obs, (s[1] + s[2]) / 2, svd=lacking)
+    with pytest.raises(ValueError, match="must hold the vectors of the same c <= 2 values"):
+        SvdResult(s[:2], full.U[:, :3], full.Vt[:3])
 
 
 @pytest.mark.parametrize("threshold", [np.nan, -1.0])

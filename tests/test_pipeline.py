@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmix.estimation import ObservationMatrix, compute_svd
+from rankmix.estimation import ObservationMatrix, _values_read, compute_svd
 from rankmix.generators import ComponentSpec, MixtureSpec, SampleBatch, mask, normal_utilities, sample_mixture
 from rankmix.pipeline import PipelineError, PipelineResult, run_pipeline, run_pipeline_samples
 from rankmix.seeding import substream
@@ -135,6 +135,17 @@ def test_rank_hint_controls_kept_rank():
     assert result.svd.singular_values.size == 5  # the rule reads sigma_1 .. sigma_5 only
     auto = run_pipeline(spec, N=200, p=1.0, seed=7)
     assert auto.svd.singular_values.size == 15  # ceil(sqrt(min(200, 190))) + 1
+
+
+@pytest.mark.parametrize("rank_hint", [None, 2, 6])
+def test_the_svd_holds_the_values_read_and_the_kept_vectors_only(rank_hint):
+    spec = _gaussian_mixture(3, 12, 0.4, 11)
+    result = run_pipeline(spec, N=150, p=0.7, seed=11, rank_hint=rank_hint)
+    svd, kept = result.svd, result.estimate.kept_rank
+    assert svd.singular_values.size == _values_read(150, 66, rank_hint)
+    assert 0 < kept < svd.singular_values.size
+    assert svd.U.shape == (150, kept) and svd.Vt.shape == (kept, 66)
+    assert np.array_equal(result.estimate.Vt, svd.Vt)
 
 
 def test_fractional_rank_hint_rejected():
