@@ -11,16 +11,15 @@ from rankmix import (
     ComponentSpec,
     MixtureSpec,
     cluster_mean,
-    compute_svd,
     hsvt,
     mask,
     normal_utilities,
     sample_mixture,
-    select_threshold,
     separation_gamma,
     single_linkage,
     spectral_gap_check,
 )
+from rankmix.pipeline import denoise
 
 k, n, N, p, sigma = 3, 20, 400, 0.8, 0.25
 spec = MixtureSpec(
@@ -28,16 +27,18 @@ spec = MixtureSpec(
     [1 / k] * k,
 )
 obs = mask(sample_mixture(spec, N, 0), p, 0)  # a SampleBatch is the observation matrix
-svd = compute_svd(obs)
+svd, estimate = denoise(obs)  # as the pipeline runs it: svd holds the values the t1 rule read
+t1 = estimate.threshold_used
 
 print(f"top singular values of the zero-filled {obs.N}x{obs.d} matrix:")
 print("  " + "  ".join(f"{s:7.2f}" for s in svd.singular_values[:8]))
 ratios = svd.singular_values[:7] / svd.singular_values[1:8]
 print("  ratios:" + "  ".join(f"{r:6.2f}" for r in ratios))
 
-t1 = select_threshold(svd)
-estimate = hsvt(obs, t1, svd=svd)
 print(f"auto t1 = {t1:.2f} -> kept rank {estimate.kept_rank}, p_hat = {estimate.p_hat:.3f}")
+r = estimate.kept_rank
+lower = (svd.singular_values[r] + svd.singular_values[r + 1]) / 2  # hsvt takes any threshold
+print(f"hsvt at t = {lower:.2f}, below sigma_{r + 1}, keeps rank {hsvt(obs, lower).kept_rank}")
 
 # compare against the window the theory wants t1 to sit in
 means = [cluster_mean(c) for c in spec.components]

@@ -7,10 +7,9 @@ Every (n, N, p) of the grid is a 3-component Gaussian mixture (sigma 0.3)
 with the same spec and seed on both trees. For each one a repeat measures,
 with time.perf_counter: sample_mixture of the N rows and mask of them at p,
 LAPACK's thin SVD (tests/oracles.py::oracle_thin_svd) of the masked matrix,
-rankmix's compute_svd of it for the singular values the automatic threshold
-rule reads (_values_read), pipeline.denoise of the masked batch as
-run_pipeline calls it, one run_pipeline call, and single_linkage (automatic
-t2) of that run's N x r coordinates, estimate.coords.
+pipeline.denoise of the masked batch as run_pipeline calls it, one
+run_pipeline call, and single_linkage (automatic t2) of that run's N x r
+coordinates, estimate.coords.
 
 Both trees run in one worker process: the working tree's src/ is imported as
 rankmix and the base tree's, extracted with `git archive`, as rankmix_base
@@ -49,8 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GRID = ((15, 180, 0.4), (40, 600, 0.5), (40, 1000, 0.3), (50, 2000, 0.6), (100, 2000, 0.3))
 K, SIGMA, SEED = 3, 0.3, 2024
-TIMES = ("sample_mixture_s", "mask_s", "oracle_thin_svd_s", "compute_svd_s", "denoise_s", "run_pipeline_s",
-         "single_linkage_s")
+TIMES = ("sample_mixture_s", "mask_s", "oracle_thin_svd_s", "denoise_s", "run_pipeline_s", "single_linkage_s")
 OUTCOMES = ("sample_sha256", "mask_sha256", "labels_sha256", "k_hat", "risk")
 TREES = ("base", "change")
 PACKAGES = {"base": "rankmix_base", "change": "rankmix"}
@@ -78,7 +76,7 @@ def worker(base_src: str, base_first: bool) -> None:
 
     trees = {
         name: {module: importlib.import_module(f"{package}.{module}")
-               for module in ("clustering", "estimation", "generators", "pipeline")}
+               for module in ("clustering", "generators", "pipeline")}
         for name, package in PACKAGES.items()
     }
 
@@ -118,8 +116,6 @@ def worker(base_src: str, base_first: bool) -> None:
         hashes = {name: (sha256(sampled[name].values), sha256(masked[name].values)) for name in TREES}
         del sampled  # both trees' matrices are held at once: keep no more of them than needed
         timed("oracle_thin_svd_s", lambda t, name: oracle_thin_svd(masked[name].values))
-        top = trees["change"]["estimation"]._values_read(N, n * (n - 1) // 2, None)
-        timed("compute_svd_s", lambda t, name: t["estimation"].compute_svd(masked[name], top=top))
         timed("denoise_s", lambda t, name: t["pipeline"].denoise(masked[name]))
         result = timed("run_pipeline_s", lambda t, name: t["pipeline"].run_pipeline(spec[name], N=N, p=p, seed=SEED))
         timed("single_linkage_s", lambda t, name: t["clustering"].single_linkage(result[name].estimate.coords))
@@ -197,8 +193,8 @@ def main(argv=None) -> int:
                 f"base and change calls interleaved in one process; change_faster counts the "
                 f"{args.repeats * CALLS} base/change pairs in which the change was faster; inputs: "
                 f"{K}-component Gaussian mixture, sigma {SIGMA}, seed {SEED}; sampled and masked values, "
-                "labels, k_hat and risk equal on both trees; compute_svd_s asks for the values the "
-                "automatic threshold rule reads, denoise_s is pipeline.denoise as run_pipeline calls it",
+                "labels, k_hat and risk equal on both trees; denoise_s is pipeline.denoise as run_pipeline "
+                "calls it",
         "environment": {
             "host": platform.node(),
             "machine": platform.machine(),

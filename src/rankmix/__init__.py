@@ -9,7 +9,6 @@ from .estimation import (
     ObservationMatrix,
     SpectralGapReport,
     SvdResult,
-    compute_svd,
     delta_bound,
     estimate_p_hat,
     hsvt,
@@ -79,7 +78,6 @@ __all__ = [
     "SpectralGapReport",
     "SvdResult",
     "cluster_mean",
-    "compute_svd",
     "default_config",
     "delta_bound",
     "embed",
@@ -113,4 +111,4 @@ __all__ = [
     "write_mixture_spec",
 ]
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

@@ -12,19 +12,22 @@ sigma_j > t1), and rescales by the estimated observation probability:
 The SVD comes from the min(N, d)-square Gram matrix of Y, reduced once to
 tridiagonal form (LAPACK dsytrd), at a fraction of the cost of LAPACK's
 bidiagonal SVD. Every singular value comes from that reduction (dsterf);
-singular vectors are computed only for the leading values a caller asks for,
+singular vectors are computed only for the components the threshold keeps,
 by inverse iteration (dstebz, dstein) and one back-transformation (dormqr).
-pipeline.denoise (run by the pipeline and by CLI denoise) reads the values
-the threshold rule needs (_values_read: ceil(sqrt(min(N, d))) + 1 without a
-rank hint, r + 1 with one), picks t1, and only then computes the vectors of
-the components it keeps; compute_svd's top asks for as many vectors as
-values. _values_read is also the one check of a rank hint, so a refused hint
-fails before the Gram matrix is formed.
-Every BLAS call, from the Gram product to the back-products and m_hat, runs
-on scipy's BLAS: numpy and scipy may each link their own OpenBLAS, each
-with its own thread pool, and work handed from one pool to the other pays
-for both. Observation data always takes the exact float32 Gram product of
-an ObservationMatrix (see _GramSpectrum; hsvt passes its y on).
+One private method, _GramSpectrum.estimate, goes from the threshold to the
+kept vectors and the rank-r factors, and counts the kept rank; it has two
+callers. hsvt applies a given threshold to every value. pipeline.denoise
+(run by the pipeline and by CLI denoise) reads the values the threshold rule
+needs (_values_read: ceil(sqrt(min(N, d))) + 1 without a rank hint, r + 1
+with one), picks t1 from them, and hands t1 to that method. _values_read is
+also the one check of a rank hint, so a refused hint fails before the Gram
+matrix is formed.
+Every BLAS and LAPACK call, from the Gram product to the back-products,
+m_hat and the diagnostics' norms, runs on scipy's libraries: numpy and scipy
+may each link their own OpenBLAS, each with its own thread pool, and work
+handed from one pool to the other pays for both. Observation data always
+takes the exact float32 Gram product of an ObservationMatrix (see
+_GramSpectrum; hsvt passes its y on).
 SvdResult states the accuracy this gives.
 
 The estimate is held as its rank-r factors, left = U_r S_r and Vt = V_r^T,
@@ -47,6 +50,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
+from scipy.linalg import svdvals
 from scipy.linalg.blas import dgemm, dsyrk, ssyrk
 from scipy.linalg.lapack import dormqr, dstebz, dstein, dsterf, dsytrd, dsytrd_lwork
 
@@ -96,14 +100,11 @@ class ObservationMatrix:
 @dataclass(frozen=True, eq=False)
 class SvdResult:
     """The leading k singular values of Y, nonincreasing, and the singular
-    vectors of the leading c <= k of them: U is N x c and Vt is c x d. With
-    c = k = min(N, d) it is the thin SVD, Y = U @ diag(singular_values) @ Vt;
-    with c = k < min(N, d) (compute_svd's top) the best rank-k approximation.
-    pipeline.denoise holds the values the threshold rule read and the
-    vectors of the kept components only. A truncated result says nothing
-    about the values it does not hold, so select_threshold and hsvt raise
-    rather than read past singular_values[-1], and hsvt raises rather than
-    keep a value whose vectors it does not hold. The constructor raises
+    vectors of the leading c <= k of them: U is N x c and Vt is c x d.
+    pipeline.denoise returns the k values the threshold rule read and the
+    vectors of the c components it kept. A result with k < min(N, d) says
+    nothing about the values it does not hold, so select_threshold raises
+    rather than read past singular_values[-1]. The constructor raises
     ValueError unless U and Vt hold the same c <= k vectors.
 
     Accuracy of the Gram route, which squares the condition number: sigma_j
@@ -164,8 +165,9 @@ class HsvtEstimate:
         """The dense N x d estimate, built on first access (zeros at rank 0).
 
         scipy's dgemm forms m_hat^T = Vt^T left^T in F order, which is m_hat
-        in C order; the F-ordered left and the C-ordered Vt that hsvt returns
-        reach it uncopied. The division by p_hat follows the product."""
+        in C order; the F-ordered left and the C-ordered Vt that
+        _GramSpectrum.estimate returns reach it uncopied. The division by
+        p_hat follows the product."""
         m_hat = dgemm(1.0, self.Vt.T, self.left, trans_b=1).T
         m_hat /= self.p_hat
         return _frozen(m_hat)
@@ -218,7 +220,8 @@ def _lapack(info: int, routine: str) -> None:
 class _GramSpectrum:
     """The Gram matrix of an observation matrix (or finite plain array),
     reduced once to tridiagonal form, with every singular value and the
-    singular vectors of as many leading values as a caller asks for.
+    singular vectors of as many leading values as a caller asks for, and
+    the hard-thresholded estimate built from them (estimate).
 
     With a = Y (or Y^T when N < d), BLAS syrk forms the lower triangle of the
     m x m Gram matrix a^T a, m = min(N, d), and one blocked LAPACK dsytrd
@@ -226,9 +229,10 @@ class _GramSpectrum:
     Householder reflectors. An off-diagonal entry of T at most m * eps *
     ||T|| (the reduction's own error) is set to 0. dsterf returns every
     eigenvalue of T, whose square roots are the singular values; no vector is
-    computed until svd asks. A matrix with m = 0 has no singular values and
-    raises ValueError before any BLAS call; a nonzero LAPACK info raises
-    LinAlgError.
+    computed until svd asks. p_hat is estimate_p_hat of an ObservationMatrix
+    and 1 for a plain array, which is fully observed. A matrix with m = 0
+    has no singular values and raises ValueError before any BLAS call; a
+    nonzero LAPACK info raises LinAlgError.
 
     An ObservationMatrix's Gram matrix is formed by ssyrk on a float32 copy
     and is exact: every product is 0 or +-1/4, so every partial sum, in any
@@ -274,6 +278,7 @@ class _GramSpectrum:
         self.floor = math.sqrt(m * _EPS) * s[0]  # numerical zero, decided once (see SvdResult)
         s[np.logical_or.accumulate(s <= self.floor)] = 0.0
         self.singular_values = _frozen(s)
+        self.p_hat = estimate_p_hat(y) if isinstance(y, ObservationMatrix) else 1.0
 
     def _eigenvectors(self, count: int) -> np.ndarray:
         """The m x count F-ordered eigenvectors of a^T a for its top count
@@ -327,58 +332,35 @@ class _GramSpectrum:
         U, Vt = (v, w.T) if self.wide else (w, v.T)
         return _own(SvdResult, singular_values=s, U=U, Vt=Vt)
 
-
-def compute_svd(y, top: int | None = None) -> SvdResult:
-    """Leading `top` singular triples of an observation matrix (or finite
-    plain array) from one tridiagonal reduction of its smaller Gram matrix.
-
-    top is an integer in [1, min(N, d)] (ValueError otherwise) and defaults
-    to min(N, d), the whole thin SVD. See _GramSpectrum for the route and
-    its refusals: the top eigenvectors of the Gram matrix are the right
-    singular vectors of a, found by inverse iteration (dstebz and dstein)
-    and one dormqr back-transformation, and the other side is the top
-    back-products. The whole thin SVD is inverse iteration over the whole
-    spectrum, about 3x slower than LAPACK's syevr there, and no library
-    caller asks for it. See SvdResult for the accuracy this gives.
-    """
-    spectrum = _GramSpectrum(y)
-    top = spectrum.m if top is None else _count_in_range(top, spectrum.m, "top")
-    return spectrum.svd(top, top)
+    def estimate(self, threshold: float, top: int) -> tuple[SvdResult, HsvtEstimate]:
+        """Hard thresholding at threshold >= 0, for the top >= 1 leading
+        values a caller reads: the svd holds those values and the vectors
+        of every value above the threshold, and the estimate keeps the
+        components still above it after svd's back-product check, as the
+        factors U_r S_r and V_r^T with p_hat. The kept rank is counted here
+        and nowhere else."""
+        svd = self.svd(top, int(np.count_nonzero(self.singular_values[:top] > threshold)))
+        s = svd.singular_values
+        kept = int(np.count_nonzero(s > threshold))  # the leading ones: s is nonincreasing
+        return svd, _own(HsvtEstimate, left=svd.U[:, :kept] * s[:kept], Vt=svd.Vt[:kept], kept_rank=kept,
+                         threshold_used=float(threshold), p_hat=self.p_hat)
 
 
-def hsvt(y, threshold: float, svd: SvdResult | None = None) -> HsvtEstimate:
+def hsvt(y, threshold: float) -> HsvtEstimate:
     """Hard singular value thresholding at t1, rescaled by 1/p_hat.
 
-    Keeps the components with sigma_j strictly above the threshold and
-    returns them as factors (see HsvtEstimate). p_hat is estimate_p_hat of
-    an ObservationMatrix; a plain array is fully observed, so p_hat = 1.
-    Without an svd, hsvt reads every singular value of y and computes the
-    vectors of the kept ones only. Raises ValueError unless a given svd is
-    of a matrix shaped like y, holds every value above the threshold and
-    holds the vectors of every kept one.
+    Keeps the components with sigma_j strictly above the threshold, a
+    nonnegative number (ValueError otherwise), and returns them as factors
+    (see HsvtEstimate). p_hat is estimate_p_hat of an ObservationMatrix; a
+    plain array is fully observed, so p_hat = 1. hsvt reads every singular
+    value of y and computes the vectors of the kept ones only; see
+    _GramSpectrum for the route and its refusals, and SvdResult for the
+    accuracy it gives.
     """
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    p_hat = estimate_p_hat(y) if isinstance(y, ObservationMatrix) else 1.0
-    if svd is None:
-        spectrum = _GramSpectrum(y)  # y itself: an ObservationMatrix takes the float32 Gram route
-        kept = int(np.count_nonzero(spectrum.singular_values > threshold))
-        svd = spectrum.svd(spectrum.m, kept)
-    elif (svd.N, svd.d) != (shape := _as_matrix(y).shape):
-        raise ValueError(f"svd is of a {svd.N}x{svd.d} matrix, y is {shape}")
-    s = svd.singular_values
-    if s.size < min(svd.N, svd.d) and threshold < s[-1]:
-        raise ValueError(
-            f"threshold {threshold} is below the smallest of the {s.size} singular values the svd holds, "
-            "so components it does not hold might pass it"
-        )
-    kept_rank = int(np.count_nonzero(s > threshold))  # the leading ones: s is nonincreasing
-    if kept_rank > svd.U.shape[1]:
-        raise ValueError(
-            f"threshold {threshold} keeps {kept_rank} components, the svd holds the vectors of {svd.U.shape[1]}"
-        )
-    return _own(HsvtEstimate, left=svd.U[:, :kept_rank] * s[:kept_rank], Vt=svd.Vt[:kept_rank],
-                kept_rank=kept_rank, threshold_used=float(threshold), p_hat=p_hat)
+    spectrum = _GramSpectrum(y)  # y itself: an ObservationMatrix takes the float32 Gram route
+    return spectrum.estimate(threshold, spectrum.m)[1]
 
 
 def _values_read(N: int, d: int, target_rank=None) -> int:
@@ -404,8 +386,9 @@ def select_threshold(svd: SvdResult, target_rank: int | None = None) -> float:
     over j <= ceil(sqrt(min(N, d))) -- the cap keeps noise-floor ratios out
     of the search -- and the same midpoint applies. The gap after the last
     nonzero value is infinite, and 0/0 is no gap.
-    Raises ValueError when a truncated svd (from compute_svd's top) holds
-    fewer values than the rule reads (_values_read).
+    Raises ValueError when the svd holds fewer values than the rule reads
+    (_values_read): pipeline.denoise's svd holds the values its own rank
+    hint read, and another hint may read more.
     """
     s = svd.singular_values
     m = min(svd.N, svd.d)
@@ -482,7 +465,8 @@ def spectral_gap_check(
     row means with d = n(n-1)/2 (ValueError otherwise). Reports
     ||Y - pM||_2, Delta (C = 1), r = rank(M), sigma_r(pM) and the
     rank-preservation window ||Y - pM||_2 < t1 < sigma_r(pM) - ||Y - pM||_2,
-    which predicts that thresholding keeps exactly r components.
+    which predicts that thresholding keeps exactly r components. Both
+    spectra come from scipy's LAPACK (svdvals), as every other call here.
     """
     mean_matrix = np.asarray(mean_matrix, dtype=float)
     if mean_matrix.shape != obs.values.shape:
@@ -491,8 +475,8 @@ def spectral_gap_check(
     if n * (n - 1) // 2 != obs.d:
         raise ValueError(f"the observations are {obs.values.shape}: d = {obs.d} is not n(n-1)/2 for an integer n")
     p = estimate_p_hat(obs) if true_p is None else float(true_p)
-    noise_norm = float(np.linalg.norm(obs.values - p * mean_matrix, 2))
-    s = np.linalg.svd(mean_matrix, compute_uv=False)
+    noise_norm = float(svdvals(obs.values - p * mean_matrix)[0])
+    s = svdvals(mean_matrix)
     rank = int(np.count_nonzero(s > s[0] * 1e-9)) if s.size and s[0] > 0 else 0
     delta = delta_bound(obs.N, n, p, tau_star)
     sigma_r_pm = p * float(s[rank - 1]) if rank else 0.0

@@ -16,8 +16,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
 
-import numpy as np
-
 from .clustering import ClusteringResult, single_linkage
 from .estimation import (
     HsvtEstimate,
@@ -25,7 +23,6 @@ from .estimation import (
     SvdResult,
     _GramSpectrum,
     _values_read,
-    hsvt,
     select_threshold,
 )
 from .evaluation import EvaluationReport, misclassification_rate
@@ -79,9 +76,10 @@ def denoise(obs: ObservationMatrix, rank_hint: int | None = None) -> tuple[SvdRe
     values the t1 rule reads (_values_read) before the svd, so a refused rank
     hint fails before the Gram matrix is formed. The svd stage reduces the
     Gram matrix once and reads every singular value; t1 comes from the ones
-    the rule reads, and only then are the vectors of the components above
-    it computed. The svd returned holds the values read and the vectors of
-    the kept components only."""
+    the rule reads, and the hsvt stage hands t1 to _GramSpectrum.estimate,
+    which hsvt runs too and which computes the vectors of the kept
+    components only. The svd returned holds the values read and the
+    vectors of the kept components."""
     with _stage("select_t1"):
         reads = _values_read(obs.N, obs.d, rank_hint)
     with _stage("svd"):
@@ -89,11 +87,8 @@ def denoise(obs: ObservationMatrix, rank_hint: int | None = None) -> tuple[SvdRe
         values = spectrum.svd(reads, 0)
     with _stage("select_t1"):
         t1 = select_threshold(values, target_rank=rank_hint)
-    with _stage("svd"):
-        svd = spectrum.svd(reads, int(np.count_nonzero(values.singular_values > t1)))
     with _stage("hsvt"):
-        estimate = hsvt(obs, t1, svd=svd)
-    return svd, estimate
+        return spectrum.estimate(t1, reads)
 
 
 def run_pipeline_samples(batch: SampleBatch, rank_hint: int | None = None) -> PipelineResult:

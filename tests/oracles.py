@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
@@ -295,3 +296,17 @@ def oracle_gram_svd(y):
         else:
             w[:, j] /= s[j]
     return (s, v, w.T) if wide else (s, w, v.T)
+
+
+def oracle_hsvt(svd, threshold, p_hat):
+    """Hard thresholding of an oracle SvdResult (singular_values, U, Vt):
+    the r components with sigma_j > threshold as the factors left = U_r S_r
+    and Vt = V_r^T, with kept_rank r, coords = left / p_hat and the dense
+    m_hat = left @ Vt / p_hat. The svd must hold the vectors of every kept
+    component."""
+    s = np.asarray(svd.singular_values)
+    r = int(np.count_nonzero(s > threshold))
+    assert r <= svd.U.shape[1], f"threshold {threshold} keeps {r} components, the svd holds {svd.U.shape[1]}"
+    left = svd.U[:, :r] * s[:r]
+    Vt = svd.Vt[:r]
+    return SimpleNamespace(left=left, Vt=Vt, kept_rank=r, coords=left / p_hat, m_hat=left @ Vt / p_hat)

@@ -22,10 +22,7 @@ from oracles import (
 from rankmix.clustering import single_linkage
 from rankmix.estimation import (
     ObservationMatrix,
-    compute_svd,
     estimate_p_hat,
-    hsvt,
-    select_threshold,
     spectral_gap_check,
 )
 from rankmix.evaluation import misclassification_rate
@@ -39,6 +36,7 @@ from rankmix.generators import (
     normal_utilities,
     sample_mixture,
 )
+from rankmix.pipeline import denoise
 from rankmix.rankings import (
     Permutation,
     embed,
@@ -130,12 +128,12 @@ def test_04_threshold_in_window_keeps_exact_rank():
         spec = _three_component_spec(n, 0.2, 101, trial)
         samples = mask(sample_mixture(spec, 600, trial), p, trial)
         obs = ObservationMatrix.from_samples(samples)
-        svd = compute_svd(obs)
-        t1 = select_threshold(svd)
+        estimate = denoise(obs)[1]
+        t1 = estimate.threshold_used
         report = spectral_gap_check(obs, _mean_matrix(spec, samples), t1, tau_budget, true_p=p)
         if report.rank_preservation_predicted:
             qualifying += 1
-            if hsvt(obs, t1, svd=svd).kept_rank == 3:
+            if estimate.kept_rank == 3:
                 preserved += 1
     # guard against a vacuous pass: this regime is known to qualify almost always
     assert qualifying >= 40, f"only {qualifying}/50 trials inside the window"
@@ -154,8 +152,7 @@ def test_05_denoised_max_row_error_shrinks_with_more_rows():
             spec = _three_component_spec(n, 0.2, 101, seed)
             samples = mask(sample_mixture(spec, N, 2000 + seed), 0.8, 2000 + seed)
             obs = ObservationMatrix.from_samples(samples)
-            svd = compute_svd(obs)
-            estimate = hsvt(obs, select_threshold(svd), svd=svd)
+            estimate = denoise(obs)[1]
             residual = estimate.m_hat - _mean_matrix(spec, samples)
             errors.append(float(np.sqrt((residual**2).sum(axis=1)).max()))
         means.append(float(np.mean(errors)))

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from rankmix import cli, clustering
 from rankmix.clustering import ClusteringResult, single_linkage
-from rankmix.estimation import compute_svd, hsvt
+from rankmix.estimation import _GramSpectrum
 from rankmix.fileio import write_matrix
 from rankmix.generators import ComponentSpec, MixtureSpec, normal_utilities
 from rankmix.pipeline import run_pipeline
@@ -21,6 +21,7 @@ from rankmix.pipeline import run_pipeline
 from oracles import (
     oracle_epsilon_graph_labels,
     oracle_fcluster_labels,
+    oracle_hsvt,
     oracle_mst_cut_labels,
     oracle_prim_full_scan,
 )
@@ -353,10 +354,11 @@ def test_factored_clustering_matches_dense(N, d, k, seed):
     rng = np.random.default_rng(seed)
     centers = 4.0 * rng.normal(size=(k, d))
     y = centers[rng.integers(0, k, size=N)] + 0.3 * rng.normal(size=(N, d))
-    svd = compute_svd(y)
+    m = min(N, d)
+    svd = _GramSpectrum(y).svd(m, m)
     thresholds = np.append(svd.singular_values, 0.0)
-    for r in range(min(N, d) + 1):  # every kept rank, 0 and min(N, d) included
-        est = hsvt(y, thresholds[r], svd=svd)
+    for r in range(m + 1):  # every kept rank, 0 and min(N, d) included
+        est = oracle_hsvt(svd, thresholds[r], 1.0)
         assert est.kept_rank == r and est.coords.shape == (N, r)
         factored = single_linkage(est.coords)
         dense = single_linkage(est.m_hat)

@@ -14,8 +14,8 @@ from rankmix.estimation import (
     ObservationMatrix,
     SvdResult,
     _check_float32_gram,
+    _GramSpectrum,
     _values_read,
-    compute_svd,
     delta_bound,
     estimate_p_hat,
     hsvt,
@@ -34,7 +34,7 @@ from rankmix.generators import (
 from rankmix.pipeline import PipelineError, denoise
 from rankmix.rankings import Permutation, embed
 
-from oracles import oracle_gram_svd, oracle_thin_svd
+from oracles import oracle_gram_svd, oracle_hsvt, oracle_thin_svd
 
 # frozen: 0.8 / (2 ln 9), computed with stdlib math
 K_OF_09 = 0.18204784532536747
@@ -44,6 +44,12 @@ DELTA_N30P4 = 4214.043570905577
 
 def _stack(samples):
     return ObservationMatrix.from_samples(samples)
+
+
+def _svd(y):
+    """Every singular value of y and the vectors of each, by the Gram route."""
+    spectrum = _GramSpectrum(y)
+    return spectrum.svd(spectrum.m, spectrum.m)
 
 
 def _two_perm_matrix(n=10, copies=(30, 20), seed=3):
@@ -95,10 +101,10 @@ def test_observation_matrix_leaves_the_callers_array_writable():
     a = np.array([[0.5, -0.5], [0.0, 0.5]])
     obs = ObservationMatrix(a)
     assert not obs.values.flags.writeable
-    want = compute_svd(obs)
+    want = _svd(obs)
     a[0, 0] = 0.3  # invalid, were it to reach the exact float32 Gram product
     assert obs.values.tolist() == [[0.5, -0.5], [0.0, 0.5]]  # a frozen copy
-    assert compute_svd(obs).singular_values.tobytes() == want.singular_values.tobytes()
+    assert _svd(obs).singular_values.tobytes() == want.singular_values.tobytes()
 
 
 def test_svd_and_estimate_constructors_hold_frozen_copies():
@@ -117,10 +123,10 @@ def test_svd_contract():
     rng = np.random.default_rng(5)
     for shape in ((20, 12), (12, 20)):  # tall, then wide (decomposed through Y^T)
         y = rng.normal(size=shape)
-        full = compute_svd(y)
-        for top in (None, 12, 5, 1):
-            svd = compute_svd(y, top=top)
-            k = 12 if top is None else top
+        spectrum = _GramSpectrum(y)
+        full = spectrum.svd(12, 12)
+        for k in (12, 5, 1):
+            svd = spectrum.svd(k, k)
             s = svd.singular_values
             assert svd.U.shape == (shape[0], k) and svd.Vt.shape == (k, shape[1])
             assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
@@ -131,9 +137,6 @@ def test_svd_contract():
             recon = (svd.U * s) @ svd.Vt
             want = np.sqrt((full.singular_values[k:] ** 2).sum())
             assert abs(np.linalg.norm(y - recon) - want) <= 1e-8 * np.linalg.norm(y)
-        for bad in (0, 13, -1, 2.5, np.nan):
-            with pytest.raises(ValueError, match="top"):
-                compute_svd(y, top=bad)
 
 
 @pytest.mark.parametrize("shape", [(3000, 45), (45, 3000), (200, 105), (105, 200)], ids=str)
@@ -141,7 +144,7 @@ def test_svd_contract():
 def test_float32_gram_matches_dsyrk_bit_for_bit(shape, kind):
     # an ObservationMatrix's Gram matrix comes from ssyrk on float32, a plain array's
     # from dsyrk on float64: with every partial sum exact the two agree bit for bit,
-    # and so does everything compute_svd derives from them
+    # and so does everything the Gram route derives from them
     rng = np.random.default_rng(shape[0])
     values = np.where(rng.random(shape) < 0.5, -0.5, 0.5)
     if kind == "masked":
@@ -150,7 +153,7 @@ def test_float32_gram_matches_dsyrk_bit_for_bit(shape, kind):
         values[:, :3] = 0.5
         values[:3] = 0.5
     top = min(shape) // 3
-    via_float32, via_float64 = compute_svd(ObservationMatrix(values), top=top), compute_svd(values, top=top)
+    via_float32, via_float64 = (_GramSpectrum(x).svd(top, top) for x in (ObservationMatrix(values), values))
     for name in ("singular_values", "U", "Vt"):
         assert getattr(via_float32, name).tobytes() == getattr(via_float64, name).tobytes()
 
@@ -218,7 +221,8 @@ def test_gram_svd_matches_lapack(kind, N, d, seed, scale):
     y = _matrix_of_kind(kind, N, d, seed, scale)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        svd = compute_svd(y)
+        k = min(y.shape)
+        svd = _GramSpectrum(y).svd(k, k)
         u, o, vt = oracle_thin_svd(y)
         s = svd.singular_values
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
@@ -236,7 +240,7 @@ def test_gram_svd_matches_lapack(kind, N, d, seed, scale):
             if tol > 1e-6:  # a cut inside the noise floor: neither subspace is determined
                 continue
             assert np.abs(svd.Vt[:r].T @ svd.Vt[:r] - vt[:r].T @ vt[:r]).max() <= tol
-            est = hsvt(y, (s[r - 1] + s[r]) / 2, svd=svd)
+            est = oracle_hsvt(svd, (s[r - 1] + s[r]) / 2, 1.0)
             assert est.kept_rank == r
             want = pdist(u[:, :r] * o[:r])
             assert np.allclose(pdist(est.coords), want, rtol=0, atol=tol * np.linalg.norm(y))
@@ -282,8 +286,9 @@ def test_top_k_svd_matches_lapack(kind, N, d, seed, data):
     y = _top_k_matrix(kind, N, d, seed)
     m = min(y.shape)
     k = data.draw(st.integers(1, m), label="top")
-    svd = compute_svd(y, top=k)
-    full = compute_svd(y)
+    spectrum = _GramSpectrum(y)
+    svd = spectrum.svd(k, k)
+    full = spectrum.svd(m, m)
     u, o, vt = oracle_thin_svd(y)
     s = svd.singular_values
     assert svd.U.shape == (y.shape[0], k) and svd.Vt.shape == (k, y.shape[1])
@@ -314,12 +319,12 @@ def test_top_k_svd_matches_lapack(kind, N, d, seed, data):
         assert _matches_up_to_sign(svd.Vt[j : j + 1].T, vt[j : j + 1].T, tol if tall else 2 * tol * o[0] / o[j])
         assert _matches_up_to_sign(svd.U[:, j : j + 1], u[:, j : j + 1], 2 * tol * o[0] / o[j] if tall else tol)
 
-    # the threshold rule and the kept coordinates equal the top=None route
+    # the threshold rule and the kept coordinates equal those of the whole spectrum
     def same_cut(r, t_top, t_full):
         assert abs(t_top - t_full) <= err[r - 1] + err[r]
         tol = 1e-10 + _GRAM_C * sq[0] / (sq[r - 1] - sq[r]) if sq[r - 1] > sq[r] else np.inf
         if tol <= 1e-6:
-            a, b = hsvt(y, t_top, svd=svd), hsvt(y, t_full, svd=full)
+            a, b = oracle_hsvt(svd, t_top, 1.0), oracle_hsvt(full, t_full, 1.0)
             assert a.kept_rank == b.kept_rank == r
             assert np.allclose(pdist(a.coords), pdist(b.coords), rtol=0, atol=tol * np.linalg.norm(y))
 
@@ -346,7 +351,7 @@ def test_a_top_value_that_splits_off_the_tridiagonal_gets_its_vector():
     # dstebz's index mode misses (info = 2) when asked for that value alone
     y = np.array([[0, 0, -0.5], [0, 0, 0.5], [0, 0, -0.5], [0, -0.5, 0], [0, 0, 0.5], [-0.5, 0.5, 0]])
     obs = ObservationMatrix(y)
-    svd = compute_svd(obs, top=1)
+    svd = _GramSpectrum(obs).svd(1, 1)
     assert svd.singular_values.tolist() == [1.0] and np.abs(svd.Vt).tolist() == [[0.0, 0.0, 1.0]]
     svd, est = denoise(obs, 1)
     assert est.kept_rank == 1 and np.allclose(est.left @ est.Vt, y * [0, 0, 1], rtol=0, atol=1e-15)
@@ -361,7 +366,7 @@ def test_singular_vectors_of_a_sparse_matrix_are_orthonormal(seed):
     rng = np.random.default_rng(seed)
     y = np.zeros((40, 30))
     y[rng.integers(0, 40, size=30), np.arange(30)] = 0.5
-    svd = compute_svd(ObservationMatrix(y))
+    svd = _svd(ObservationMatrix(y))
     assert np.abs(svd.Vt @ svd.Vt.T - np.eye(30)).max() <= 1e-12
     assert np.abs((svd.U * svd.singular_values) @ svd.Vt - y).max() <= 1e-12
 
@@ -436,7 +441,7 @@ def _gap_choice_determined(w, atol):
 def test_denoise_matches_the_eigh_oracle(kind, N, d, seed, missing, data):
     # pipeline.denoise reads the values from one reduction and the kept vectors
     # by inverse iteration; the oracle takes every eigenpair from eigh and runs
-    # the same threshold rule and hsvt on the values the rule reads
+    # the same threshold rule and oracle_hsvt on the values the rule reads
     values = _denoise_input(kind, N, d, seed, missing)
     obs = ObservationMatrix(values)
     m = min(values.shape)
@@ -466,7 +471,7 @@ def test_denoise_matches_the_eigh_oracle(kind, N, d, seed, missing, data):
     assert abs(t1 - want_t1) <= t1_err
     if np.any((o[:reads] > 0) & (np.abs(o[:reads] - want_t1) <= err[:reads] + t1_err)):
         return  # a value at the threshold: either route may keep it
-    ref = hsvt(obs, want_t1, svd=oracle)
+    ref = oracle_hsvt(oracle, want_t1, estimate_p_hat(obs))
     kept = ref.kept_rank
     assert est.kept_rank == kept
     sq, tall = o**2, obs.N >= obs.d
@@ -489,12 +494,11 @@ def test_denoise_matches_the_eigh_oracle(kind, N, d, seed, missing, data):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_plain_arrays_rejected(bad):
     y = np.ones((4, 3))
-    svd = compute_svd(y)
     y[2, 1] = bad
     with pytest.raises(ValueError, match="4x3 matrix must hold only finite"):
-        compute_svd(y)
+        _GramSpectrum(y)
     with pytest.raises(ValueError, match="4x3 matrix must hold only finite"):
-        hsvt(y, 0.5, svd=svd)
+        hsvt(y, 0.5)
 
 
 @pytest.mark.parametrize("kind", ["observations", "plain"])
@@ -504,7 +508,7 @@ def test_empty_matrix_is_refused_before_blas(shape, kind, capfd):
     y = ObservationMatrix(np.zeros(shape)) if kind == "observations" else np.zeros(shape)
     name = f"{shape[0]}x{shape[1]}"
     with pytest.raises(ValueError, match=f"a {name} matrix has no singular values"):
-        compute_svd(y)
+        _GramSpectrum(y)
     with pytest.raises(ValueError, match=f"a {name} (observation )?matrix has no"):
         hsvt(y, 0.0)
     if kind == "observations":
@@ -526,7 +530,7 @@ def test_hsvt_zero_threshold_full_observation_reproduces_y():
 def test_hsvt_threshold_above_top_singular_value_gives_zero():
     y, _, _ = _two_perm_matrix()
     for obs in (ObservationMatrix.from_dense(y), ObservationMatrix.from_dense(y.T)):  # tall, wide
-        top = compute_svd(obs).singular_values[0]
+        top = _GramSpectrum(obs).singular_values[0]
         est = hsvt(obs, top * 1.01)
         assert est.kept_rank == 0
         assert est.m_hat.shape == obs.values.shape and not est.m_hat.any()
@@ -537,9 +541,8 @@ def test_hsvt_exact_low_rank_recovery():
     # must reproduce the matrix exactly
     y, _, _ = _two_perm_matrix(n=10, copies=(30, 20))
     obs = ObservationMatrix.from_dense(y)
-    svd = compute_svd(obs)
-    t1 = select_threshold(svd, target_rank=2)
-    est = hsvt(obs, t1, svd=svd)
+    t1 = select_threshold(_svd(obs), target_rank=2)
+    est = hsvt(obs, t1)
     assert est.kept_rank == 2
     assert np.max(np.abs(est.m_hat - y)) <= 1e-8
 
@@ -547,7 +550,7 @@ def test_hsvt_exact_low_rank_recovery():
 def test_hsvt_estimate_rank_invariant():
     y, _, _ = _two_perm_matrix()
     obs = ObservationMatrix.from_dense(y)
-    est = hsvt(obs, select_threshold(compute_svd(obs), target_rank=2))
+    est = hsvt(obs, select_threshold(_svd(obs), target_rank=2))
     s = np.linalg.svd(est.m_hat, compute_uv=False)
     assert s[est.kept_rank] <= 1e-8 * s[0]
 
@@ -555,26 +558,20 @@ def test_hsvt_estimate_rank_invariant():
 def test_hsvt_idempotent_rank():
     y, _, _ = _two_perm_matrix()
     obs = ObservationMatrix.from_dense(y)
-    svd = compute_svd(obs)
-    t1 = select_threshold(svd, target_rank=2)
-    est = hsvt(obs, t1, svd=svd)
+    t1 = select_threshold(_svd(obs), target_rank=2)
+    est = hsvt(obs, t1)
     # the denoised matrix has singular values sigma_j / p_hat; rescale t1 the
     # same way and rank must be preserved
     again = hsvt(est.m_hat, t1 / est.p_hat)
     assert again.kept_rank == est.kept_rank
 
 
-def test_hsvt_refuses_an_svd_without_the_vectors_of_a_kept_value():
-    y, _, _ = _two_perm_matrix()
-    obs = ObservationMatrix.from_dense(y)
-    full = compute_svd(obs)
-    s = full.singular_values
-    lacking = SvdResult(s, full.U[:, :1], full.Vt[:1])  # every value, the first vector only
-    assert hsvt(obs, (s[0] + s[1]) / 2, svd=lacking).kept_rank == 1
-    with pytest.raises(ValueError, match="keeps 2 components, the svd holds the vectors of 1"):
-        hsvt(obs, (s[1] + s[2]) / 2, svd=lacking)
+def test_svd_result_refuses_more_vectors_than_values():
+    full = _svd(ObservationMatrix.from_dense(_two_perm_matrix()[0]))
     with pytest.raises(ValueError, match="must hold the vectors of the same c <= 2 values"):
-        SvdResult(s[:2], full.U[:, :3], full.Vt[:3])
+        SvdResult(full.singular_values[:2], full.U[:, :3], full.Vt[:3])
+    with pytest.raises(ValueError, match="must hold the vectors of the same c <= 2 values"):
+        SvdResult(full.singular_values[:2], full.U[:, :2], full.Vt[:1])
 
 
 @pytest.mark.parametrize("threshold", [np.nan, -1.0])
@@ -584,28 +581,17 @@ def test_hsvt_rejects_nan_or_negative_threshold(threshold):
         hsvt(y, threshold)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [dict(svd=compute_svd(np.eye(3)))],
-    ids=["svd_of_another_matrix"],
-)
-def test_hsvt_rejects_bad_p_hat_or_foreign_svd(kwargs):
-    y, _, _ = _two_perm_matrix()
-    with pytest.raises(ValueError, match="svd"):
-        hsvt(y, 1.0, **kwargs)
-
-
 def test_m_hat_is_built_from_the_factors_bit_for_bit():
     rng = np.random.default_rng(17)
     y = np.where(rng.random((25, 12)) < 0.5, 0.5, -0.5)
     y[rng.random(y.shape) < 0.3] = np.nan
     obs = ObservationMatrix.from_dense(y)
-    svd = compute_svd(obs)
-    s = svd.singular_values
+    spectrum = _GramSpectrum(obs)
+    s = spectrum.singular_values
     for t, rank in ((s[0], 0), (s[2], 2), (0.0, 12)):
-        est = hsvt(obs, t, svd=svd)
-        kept = s > t
-        expected = (svd.U[:, kept] * s[kept]) @ svd.Vt[kept] / est.p_hat
+        svd, est = spectrum.estimate(t, 12)
+        kept = np.flatnonzero(svd.singular_values > t)
+        expected = (svd.U[:, kept] * svd.singular_values[kept]) @ svd.Vt[kept] / est.p_hat
         assert est.kept_rank == rank and est.coords.shape == (25, rank)
         assert est.m_hat.shape == (25, 12)
         assert np.array_equal(est.m_hat, expected)
@@ -615,22 +601,22 @@ def test_m_hat_is_built_from_the_factors_bit_for_bit():
 
 def test_select_threshold_gap_heuristic_example():
     y = np.diag([10.0, 9.0, 0.1, 0.05])
-    t1 = select_threshold(compute_svd(y))
+    t1 = select_threshold(_svd(y))
     assert t1 == pytest.approx(4.55, abs=1e-12)
 
 
 def test_select_threshold_auto_rule_ignores_the_noise_floor():
     # an exactly rank-3 product: sigma = 28.6, 22.6, 18.0, then rounding noise, which
-    # compute_svd returns as exact 0, so the gap after sigma_3 is infinite and 0/0
+    # the Gram route returns as exact 0, so the gap after sigma_3 is infinite and 0/0
     # beyond it is none
     rng = np.random.default_rng(169)
     y = rng.normal(size=(30, 3)) @ rng.normal(size=(3, 20))
-    svd = compute_svd(y)
+    svd = _svd(y)
     s = svd.singular_values
     assert s[2] > 0 and not s[3:].any()
     t1 = select_threshold(svd)
     assert t1 == (s[2] + s[3]) / 2
-    assert hsvt(y, t1, svd=svd).kept_rank == 3
+    assert hsvt(y, t1).kept_rank == 3
 
 
 def test_no_threshold_keeps_a_noise_component():
@@ -638,39 +624,40 @@ def test_no_threshold_keeps_a_noise_component():
     # more than its 3 components, and the noise side of the svd is zero
     rng = np.random.default_rng(169)
     y = rng.normal(size=(30, 3)) @ rng.normal(size=(3, 20))
-    svd = compute_svd(y)
+    svd = _svd(y)
     assert not svd.U[:, 3:].any()
     for t1 in (select_threshold(svd, target_rank=5), 0.0):
-        assert hsvt(y, t1, svd=svd).kept_rank == 3
+        assert hsvt(y, t1).kept_rank == 3
 
 
 def test_select_threshold_target_rank_examples():
     y = np.diag([5.0, 1.0])
-    assert select_threshold(compute_svd(y), target_rank=1) == pytest.approx(3.0)
+    assert select_threshold(_svd(y), target_rank=1) == pytest.approx(3.0)
     # target equal to full rank: sigma_{r+1} treated as 0
-    assert select_threshold(compute_svd(y), target_rank=2) == pytest.approx(0.5)
+    assert select_threshold(_svd(y), target_rank=2) == pytest.approx(0.5)
 
 
 def test_select_threshold_errors():
     y = np.ones((1, 5))
     with pytest.raises(ValueError):
-        select_threshold(compute_svd(y))
+        select_threshold(_svd(y))
     y2 = np.diag([5.0, 1.0])
     with pytest.raises(ValueError):
-        select_threshold(compute_svd(y2), target_rank=3)
+        select_threshold(_svd(y2), target_rank=3)
     with pytest.raises(ValueError):
-        select_threshold(compute_svd(y2), target_rank=0)
+        select_threshold(_svd(y2), target_rank=0)
 
 
 def test_select_threshold_refuses_a_truncated_svd_too_short_for_its_rule():
     y = np.random.default_rng(6).normal(size=(40, 30))  # auto mode reads min(29, ceil(sqrt(30))) + 1 = 7
-    full, top5 = compute_svd(y), compute_svd(y, top=5)
+    spectrum = _GramSpectrum(y)
+    full, top5 = spectrum.svd(30, 30), spectrum.svd(5, 5)
     with pytest.raises(ValueError, match="reads 7 singular values, the svd holds 5 of 30"):
         select_threshold(top5)
     with pytest.raises(ValueError, match="reads 6 singular values, the svd holds 5 of 30"):
         select_threshold(top5, target_rank=5)  # sigma_6 is not held, and not 0
     assert select_threshold(top5, target_rank=4) == pytest.approx(select_threshold(full, target_rank=4), rel=1e-12)
-    assert select_threshold(compute_svd(y, top=7)) == pytest.approx(select_threshold(full), rel=1e-12)
+    assert select_threshold(spectrum.svd(7, 7)) == pytest.approx(select_threshold(full), rel=1e-12)
     assert select_threshold(full, target_rank=30) == full.singular_values[-1] / 2  # a full spectrum ends in 0
 
 
@@ -683,21 +670,10 @@ def test_values_read_counts_what_select_threshold_reads():
             _values_read(40, 30, refused)
 
 
-def test_hsvt_refuses_a_threshold_below_a_truncated_spectrum():
-    y = np.random.default_rng(7).normal(size=(40, 30))
-    svd = compute_svd(y, top=5)
-    s = svd.singular_values
-    with pytest.raises(ValueError, match="below the smallest of the 5 singular values"):
-        hsvt(y, 0.99 * s[-1], svd=svd)  # sigma_6 might pass it, and the svd lacks it
-    # at sigma_5 itself nothing unheld can pass, since sigma_6 <= sigma_5
-    assert hsvt(y, s[-1], svd=svd).kept_rank == 4
-    assert hsvt(y, 0.99 * s[-1], svd=compute_svd(y)).kept_rank >= 5  # a full spectrum is never refused
-
-
 @pytest.mark.parametrize("bad", [2.7, np.nan, np.inf, -np.inf])
 def test_select_threshold_rejects_non_integer_target_rank(bad):
     # int() would truncate 2.7 to rank 2 and fail on NaN with another message
-    svd = compute_svd(np.diag([5.0, 3.0, 1.0]))
+    svd = _svd(np.diag([5.0, 3.0, 1.0]))
     with pytest.raises(ValueError, match="integer"):
         select_threshold(svd, target_rank=bad)
     assert select_threshold(svd, target_rank=2.0) == select_threshold(svd, target_rank=2)
@@ -707,10 +683,10 @@ def test_select_threshold_keeps_exactly_target_rank():
     rng = np.random.default_rng(8)
     y = rng.normal(size=(15, 10))
     obs_free = y  # plain array path
-    svd = compute_svd(y)
+    svd = _svd(y)
     for r in range(1, 10):
         t1 = select_threshold(svd, target_rank=r)
-        est = hsvt(obs_free, t1, svd=svd)
+        est = hsvt(obs_free, t1)
         assert est.kept_rank == r
 
 
@@ -765,8 +741,7 @@ def test_spectral_gap_check_clean_case_passes():
     # no noise, full observation, tau*=0: every reported condition holds
     y, e1, e2 = _two_perm_matrix(n=20, copies=(200, 200), seed=11)
     obs = ObservationMatrix.from_dense(y)
-    svd = compute_svd(obs)
-    t1 = select_threshold(svd, target_rank=2)
+    t1 = select_threshold(_svd(obs), target_rank=2)
     report = spectral_gap_check(obs, y, t1, tau_star=0.0, true_p=1.0)
     assert report.noise_norm <= 1e-8
     assert report.rank == 2
@@ -780,6 +755,26 @@ def test_spectral_gap_check_reports_failure_without_raising():
     m = np.outer(np.ones(50), np.full(45, 1e-6))
     report = spectral_gap_check(obs, m, t1=5.0, tau_star=3.0, true_p=1.0)
     assert not report.rank_preservation_predicted
+
+
+def test_spectral_gap_check_takes_its_spectra_from_scipy(monkeypatch):
+    # numpy may link another LAPACK than scipy's, with its own thread pool:
+    # the report needs neither numpy.linalg.svd nor numpy.linalg.norm
+    spec = MixtureSpec([ComponentSpec.gaussian(normal_utilities(8, seed), 0.3) for seed in (1, 2)], [0.5, 0.5])
+    samples = mask(sample_mixture(spec, 80, 5), 0.6, 5)
+    obs = _stack(samples)
+    means = np.array([cluster_mean(c) for c in spec.components])[samples.labels]
+    t1 = select_threshold(_svd(obs))
+    noise, s = np.linalg.norm(obs.values - 0.6 * means, 2), np.linalg.svd(means, compute_uv=False)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("spectral_gap_check reached numpy's LAPACK")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    monkeypatch.setattr(np.linalg, "norm", refused)
+    report = spectral_gap_check(obs, means, t1, tau_star=1.0, true_p=0.6)
+    assert report.noise_norm == pytest.approx(noise, rel=1e-12)
+    assert report.rank == 2 and report.sigma_r_pm == pytest.approx(0.6 * s[1], rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -820,9 +815,8 @@ def test_noise_norm_within_calibrated_delta():
 def test_hsvt_projector_is_contraction():
     rng = np.random.default_rng(21)
     y = rng.normal(size=(30, 18))
-    svd = compute_svd(y)
-    t = float(np.median(svd.singular_values))
-    est = hsvt(y, t, svd=svd)
+    t = float(np.median(_GramSpectrum(y).singular_values))
+    est = hsvt(y, t)
     assert 0 < est.kept_rank < 18
     for _ in range(1000):
         w = rng.normal(size=18)
@@ -834,9 +828,8 @@ def test_hsvt_rows_equal_projected_rows():
     y, _, _ = _two_perm_matrix(n=8, copies=(12, 9))
     rng = np.random.default_rng(31)
     y = y + 0.01 * rng.normal(size=y.shape)  # break exact degeneracy
-    svd = compute_svd(y)
-    t = float(svd.singular_values[1] * 0.9)
-    est = hsvt(y, t, svd=svd)
+    t = float(_GramSpectrum(y).singular_values[1] * 0.9)
+    est = hsvt(y, t)
     for i in range(y.shape[0]):
         # m_hat is rescaled by 1/p_hat; the row identity is about the
         # unrescaled thresholded matrix

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmix.estimation import ObservationMatrix, _values_read, compute_svd
+from rankmix.estimation import ObservationMatrix, SvdResult, _values_read, hsvt
 from rankmix.generators import ComponentSpec, MixtureSpec, SampleBatch, mask, normal_utilities, sample_mixture
-from rankmix.pipeline import PipelineError, PipelineResult, run_pipeline, run_pipeline_samples
+from rankmix.pipeline import PipelineError, PipelineResult, denoise, run_pipeline, run_pipeline_samples
 from rankmix.seeding import substream
 
 
@@ -24,14 +24,14 @@ def test_result_types_compare_by_identity():
     # value; two equal results are still two objects
     spec = _gaussian_mixture(2, 6, 0.3, 0)
     first, second = run_pipeline(spec, N=20, p=0.8, seed=1), run_pipeline(spec, N=20, p=0.8, seed=1)
-    values = first.obs.values
+    values, eye = first.obs.values, (np.ones(3), np.eye(3), np.eye(3))
     component = ComponentSpec.gaussian(normal_utilities(5, 0), 0.3)
     pairs = {
         "ComponentSpec": (component, ComponentSpec.gaussian(normal_utilities(5, 0), 0.3)),
         "MixtureSpec": (MixtureSpec([component], [1.0]), MixtureSpec([component], [1.0])),
         "ObservationMatrix": (ObservationMatrix(values), ObservationMatrix(values)),
         "SampleBatch": (sample_mixture(spec, 20, 1), sample_mixture(spec, 20, 1)),
-        "SvdResult": (compute_svd(np.eye(3)), compute_svd(np.eye(3))),
+        "SvdResult": (SvdResult(*eye), SvdResult(*eye)),
         "HsvtEstimate": (first.estimate, second.estimate),
         "ClusteringResult": (first.clustering, second.clustering),
         "PipelineResult": (first, second),
@@ -146,6 +146,19 @@ def test_the_svd_holds_the_values_read_and_the_kept_vectors_only(rank_hint):
     assert 0 < kept < svd.singular_values.size
     assert svd.U.shape == (150, kept) and svd.Vt.shape == (kept, 66)
     assert np.array_equal(result.estimate.Vt, svd.Vt)
+
+
+@pytest.mark.parametrize("rank_hint", [None, 2, 6])
+def test_hsvt_at_the_pipelines_t1_gives_the_pipelines_estimate_bit_for_bit(rank_hint):
+    # pipeline.denoise and hsvt build the estimate the same way: at the same
+    # threshold they keep the same components with the same factors
+    for seed in range(30):
+        spec = _gaussian_mixture(3, 8 + 3 * (seed % 5), 0.4, seed)
+        obs = mask(sample_mixture(spec, 60 + 7 * seed, seed), 0.3 + 0.02 * seed, seed)
+        _, est = denoise(obs, rank_hint)
+        again = hsvt(obs, est.threshold_used)
+        assert (again.kept_rank, again.p_hat) == (est.kept_rank, est.p_hat)
+        assert again.left.tobytes() == est.left.tobytes() and again.Vt.tobytes() == est.Vt.tobytes()
 
 
 def test_fractional_rank_hint_rejected():
